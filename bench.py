@@ -87,176 +87,7 @@ def run_bench(sf_dir: str, num_cpus: int, headline_only: bool = False,
 
     if not headline_only:
         from d1_log_aggregation_ray.pipelines.queries import RAY_QUERIES
-        for name in only if only else [
-                     "route_counts", "repeat_visit", "watermark",
-                     "dedup_exact", "dedup_minhash", "token_count",
-                     "ann_cosine_topk", "sessionize",
-                     # round-2 additions: the vectorized kernels + the
-                     # new banded near-dup family
-                     "doc_fingerprint", "lang_id", "asof_prior",
-                     "approx_distinct_users", "dedup_simhash_near",
-                     # round-3 additions: the remaining dedup families
-                     # + vocabulary stats + cluster assignment
-                     "dedup_ngram", "dedup_embedding",
-                     "vocab_df", "dedup_clusters",
-                     "ann_multi_topk", "ann_pq_topk",
-                     "ann_ivfpq_topk", "stratified_sample",
-                     # round-3 curation ops: benchmark decontamination,
-                     # repetition signals, exact quantiles
-                     "ngram_decontaminate", "doc_repetition",
-                     "length_quantiles", "pii_redact",
-                     "dup_ngram_stats", "distinctive_terms",
-                     # cross-source contamination matrix
-                     "source_overlap",
-                     # corpus-organization k-means (integer-exact Lloyd)
-                     # + training-shard packing (distributed prefix sum)
-                     "kmeans_clusters", "pack_shards",
-                     # large x large shuffle join (TPC-H Q3 analog)
-                     # + canonical text normalization + line dedup
-                     "top_orders", "normalize_text", "line_dedup",
-                     # round-3 late additions: rare-token stats,
-                     # token-window chunking, SemDeDup, Bloom decontam
-                     "token_rarity", "chunk_tokens",
-                     "semantic_dedup", "bloom_decontam",
-                     # flagship curation composition (one exchange)
-                     "curate_corpus",
-                     # corpus bookkeeping (split/shuffle/stats) + PCA
-                     # projection + BM25 ranked retrieval
-                     "train_split", "shuffle_shards", "source_stats",
-                     "events_profile",
-                     "pca_project", "bm25_topk",
-                     # entropy quality signal + budgeted mixture sampler
-                     "doc_entropy", "mixture_sample",
-                     # adaptive quantile length gate + CMS heavy hitters
-                     "length_trim", "heavy_tokens",
-                     # large x large ANTI join (lapsed customers)
-                     # + SEMI join (TPC-H Q4 analog)
-                     "cust_no_orders", "priority_semi",
-                     "incremental_dedup",
-                     "strip_dup_spans", "weighted_sample",
-                     # grouped standardization (aggregate-then-rejoin)
-                     "zscore_events", "window_distinct",
-                     "sliding_distinct", "event_seq",
-                     "organize_embeddings",
-                     "media_summary",
-                     # per-conv bucket scans: SFT pair extraction,
-                     # conversation rollups, role-protocol validation,
-                     # budgeted multi-turn context assembly
-                     "sft_pairs", "conv_stats", "role_violations",
-                     "context_windows", "tool_loops",
-                     # turn-pair scans + conversation-level dedup
-                     "turn_latency", "tool_transitions", "conv_dedup",
-                     # grouped quantiles/mode, rollups, window cumsum
-                     "role_length_quantiles", "top_tool_per_conv",
-                     "rollup_counts", "cum_chars",
-                     # events-stream telemetry rollups
-                     "funnel_counts", "funnel_window",
-                     "retention", "session_ids",
-                     # embedding compression + contrastive mining
-                     "quantize_embeddings", "hard_negatives",
-                     # prefix-fork conversation dedup
-                     "fork_dedup",
-                     # equi+range interval join, sampled quantiles,
-                     # tar-shard export, day-2 minhash vs band index
-                     "interval_join", "approx_quantiles",
-                     "export_tar", "sorted_export",
-                     "incremental_minhash",
-                     # quality-aware near-dup survivor selection
-                     "dedup_keep_best",
-                     # temperature-based language rebalancing
-                     "temperature_mix",
-                     # embedding-space benchmark decontamination
-                     "semantic_decontam",
-                     # BPE merge-rule induction (tokenizer training)
-                     # + tokenizer apply (per-doc token counts)
-                     "bpe_vocab", "bpe_encode",
-                     # CCNet-style bigram-LM quality scoring
-                     "lm_score",
-                     # cluster-balanced sampling (topic rebalancing)
-                     "cluster_sample",
-                     # zlib compression-ratio quality signal
-                     "compress_ratio",
-                     # three-table having-filter join (TPC-H Q18)
-                     "big_orders",
-                     # curriculum decile labels (quantiles + map pass)
-                     "quality_buckets",
-                     # latest-wins CDC upsert merge
-                     "snapshot_merge",
-                     # all-pairs approximate kNN join (LSH buckets)
-                     "knn_join",
-                     # exact-n deterministic sample (md5 order stat)
-                     "exact_sample",
-                     # per-source PERCENT_RANK window
-                     "percent_rank",
-                     # tool-chain mining (trigrams + whole paths) and
-                     # templated-reply detection over transcripts
-                     "tool_trigrams", "tool_paths",
-                     "assistant_templates",
-                     # rolling window sum/mean + LAG deltas per key
-                     # + exponential decay feature (exact recursion)
-                     "rolling_window", "value_deltas", "ewma_value",
-                     # robust per-key outlier screen (median + MAD)
-                     # + snapshot drift monitor (histogram terms)
-                     "mad_outliers", "drift_terms",
-                     # large x large LEFT OUTER join (null fill)
-                     # + its FULL OUTER completion, and the per-user
-                     # event-type pivot feature vectors
-                     "order_fill", "order_fill_outer",
-                     "user_features",
-                     # out-of-order-timestamp ingest audit
-                     "ooo_turns",
-                     # distance-to-centroid embedding outlier mining
-                     "embedding_outliers",
-                     # row-producing large x large equi join
-                     "order_lines",
-                     # skew-aware hybrid join (hot-key broadcast +
-                     # cold-key co-partition)
-                     "order_segments",
-                     # full-scan group report (TPC-H Q1 analog)
-                     "pricing_summary",
-                     # six-table star join (TPC-H Q5 analog)
-                     "regional_revenue",
-                     # turns -> training-document assembly
-                     "conv_text",
-                     # calendar gap-filled daily event counts
-                     "gapfill_daily",
-                     # sparse-signal forward fill (LOCF imputation)
-                     "locf_fill",
-                     # grouped percentile clipping
-                     "winsorize",
-                     # per-key Pearson correlation (pure combiner)
-                     "price_qty_corr",
-                     # round-4: the previously-unbenched registry tail
-                     # (verdict r3 item 7) — harvest-internal stage
-                     # queries, the remaining ANN variants, windowed
-                     # counts, per-source/user samples, real media
-                     # decode — so the band gate watches the WHOLE
-                     # registry
-                     "clean_project", "parse_flags",
-                     "membership_flags", "enrich_meta", "geo_enrich",
-                     "watermark_salted", "harvest_sink_counts",
-                     "token_count_bpe", "sample_docs",
-                     "quality_filter", "ann_ivf_topk", "doc_quality",
-                     "ann_lsh_topk", "dedup_simhash", "pca_ann_topk",
-                     "events_agg", "props_extract", "tumbling_counts",
-                     "sliding_counts", "sample_per_source",
-                     "topk_per_user", "distinct_users",
-                     "media_decode",
-                     # error-tolerant media ingest audit (flag+count)
-                     # + exact binary-payload dedup
-                     "media_audit", "media_dedup",
-                     # role-alternation repair/merge (bucket scans)
-                     "role_repair", "role_merge",
-                     # dedup family-agreement audit
-                     "dedup_diff",
-                     # round-5: REAL pixel/sample paths — NN resize,
-                     # per-channel pixel sums, PCM sample stats, and
-                     # the featurize -> cosine-top-k composition
-                     "media_resize", "media_pixstats", "audio_stats",
-                     "media_embed_knn", "frame_stats",
-                     "audio_resample",
-                     # day-2 incremental IVF (frozen-centroid append)
-                     "ann_ivf_day2"]:
+        for name in only or list(RAY_QUERIES):
             samples[name] = []
             loads[name] = []
             for r in range(reps):

@@ -9,16 +9,18 @@ conversation/agent transcripts:
      text: string, tool: string, ts: timestamp[us])
 
 Pipeline shape (reference: LogHarvesterTask.harvest,
-/root/reference/src/main/java/org/dataone/cn/batch/logging/tasks/LogHarvesterTask.java:129-525):
+LogHarvesterTask.java:129-525), one stage list in
+pipelines.harvest.build_pipeline:
 
-    read_parquet -> clean/project -> regex parse -> broadcast enrich
-    -> groupby(conv_id) windowed repeat-visit scan -> hash fan-out route
-    -> partitioned parquet sinks + lineage manifest
+    read conv-hash bucket files -> clean/project + windowed
+    repeat-visit scan (one task per bucket, no shuffle) -> slice
+    -> regex parse + broadcast enrich + hash fan-out route (one task
+    per slice) -> partitioned parquet sinks + lineage manifest
 
 Everything is idiomatic Ray Data: `map_batches` over zero-copy Arrow
-batches, actor pools for stateful enrichment, a single groupby shuffle
-for the order-dependent window operator, and partition-atomic writes
-with a resumable checkpoint manifest.
+batches, a worker-cached Enricher called as a task, no exchange in the
+flagship (the input is bucketed by conv hash), and partition-atomic
+writes with a resumable checkpoint manifest.
 """
 
 __version__ = "0.1.0"

@@ -25,11 +25,17 @@ V1_ROLES = ("user", "assistant", "tool", "system")
 # = 1900-01-01; dateAggregated = now at :355).
 DATE_UPDATED_SENTINEL = "1900-01-01T00:00:00"
 
+# CPU request of the one-task-per-bucket (or per-file) stages.  Ray
+# fuses adjacent map operators only when their remote args match, so a
+# request other than the default 1 keeps a whole-bucket task from
+# absorbing the per-slice stage after it.  Below 1, it fits any pool:
+# a request above 1 could never run on a 1-CPU cluster.
+BUCKET_TASK_CPUS = 0.99
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
     # repeat-visit: repeat iff prev < t < prev + interval_end_s
-    repeat_visit_interval_s: int = 30
     repeat_visit_interval_end_s: int = 31  # 30 s window + 1 s exclusive end
     # roles eligible for COUNTER-style flagging (R1 gate)
     gate_roles: tuple[str, ...] = ("assistant",)
@@ -41,7 +47,6 @@ class PipelineConfig:
     n_buckets: int = 32
     # map_batches operating point
     batch_size: int | None = 8192
-    enrich_concurrency: tuple[int, int] = (2, 16)
     # rows per terminal enrich+write slice (the skew-splitting unit: a
     # hot bucket parallelizes across slices instead of becoming one
     # straggler task)

@@ -1447,7 +1447,7 @@ def append_minhash_index(ds: ray.data.Dataset, index_dir: str,
     segment is `_`-prefixed and invisible until its atomic rename).
     Pair with compact_minhash_index so a year of daily segments
     doesn't cost 365 segment reads (round-3 verdict item 6).  Returns
-    the segment path."""
+    the segment path, or "" for an empty delta."""
     import os
     import uuid
     n_parts = _num_parts()
@@ -1476,11 +1476,8 @@ def append_minhash_index(ds: ray.data.Dataset, index_dir: str,
     (band.select_columns(["part", "band_key"])
      .groupby("part").map_groups(unique_keys, batch_format="pyarrow")
      .write_parquet(tmp))
-    if not os.path.isdir(tmp):
-        return ""   # empty delta ("nothing new today"): a no-op —
-        # Ray's write_parquet creates no dir for a zero-row dataset
-    os.replace(tmp, final)
-    return final
+    from .similarity import _publish_segment
+    return _publish_segment(tmp, final)
 
 
 _COMPACT_MARKER = "_compacting.json"

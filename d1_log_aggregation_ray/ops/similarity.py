@@ -163,8 +163,7 @@ def append_ivf_index(new_ds: ray.data.Dataset, index_dir: str,
     live segment for its probed lists, so queries see appended
     vectors immediately; IO still scales with n_probe/n_lists.
     Returns the segment path, or "" for an empty delta (a "nothing
-    new today" ingest is a no-op, not a crash — Ray's write_parquet
-    creates no directory for a zero-row dataset)."""
+    new today" ingest is a no-op, not a crash)."""
     import os
     import uuid
     cent = np.load(os.path.join(index_dir, "_centroids.npy"))
@@ -175,8 +174,19 @@ def append_ivf_index(new_ds: ray.data.Dataset, index_dir: str,
     new_ds.map_batches(_assign_list_fn(cref, vec_col),
                        batch_format="pyarrow").write_parquet(
         tmp, partition_cols=["list_id"])
-    if not os.path.isdir(tmp):
-        return ""                 # empty delta: nothing was written
+    return _publish_segment(tmp, final)
+
+
+def _publish_segment(tmp: str, final: str) -> str:
+    """Atomically rename an appender's tmp segment dir into place; for
+    an empty delta (no parquet file under `tmp`) remove `tmp` and
+    return "" (whether Ray made the dir for a zero-row write is moot)."""
+    import glob
+    import os
+    import shutil
+    if not glob.glob(os.path.join(tmp, "**", "*.parquet"), recursive=True):
+        shutil.rmtree(tmp, ignore_errors=True)
+        return ""
     os.replace(tmp, final)
     return final
 

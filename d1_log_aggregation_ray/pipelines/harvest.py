@@ -1,20 +1,23 @@
-"""The flagship harvest pipeline: parse -> enrich -> route -> aggregate.
+"""The flagship harvest pipeline: read -> clean -> window scan -> enrich.
 
 End-to-end analog of LogHarvesterTask.harvest
-(/root/reference/src/main/java/org/dataone/cn/batch/logging/tasks/LogHarvesterTask.java:129-525),
-re-expressed as one streaming Ray Data DAG:
+(LogHarvesterTask.java:129-525), re-expressed as ONE Ray Data stage
+list (build_pipeline) with a pluggable terminal:
 
-    read_parquet(bucket files)                    [S1/S2]
-      -> map_batches(clean_project)               [M1-M5, zero-copy Arrow]
-      -> groupby(conv_id).map_groups(repeat_visit)[O1 sort + W1 window]
-      -> map_batches(Enricher actor pool)         [R1-R3, J1-J5, M4, S6]
-      -> write_parquet(partition by bucket/sink)  [S6 sinks]
+    read_transcripts(one block per bucket file)   [S1/S2]
+      -> clean_project + bucket_window_scan       [M1-M5, O1 sort + W1]
+         + _encode_hop, one unfused task/bucket
+      -> past_watermark filter (delta runs only)  [A1 watermark]
+      -> streaming repartition to slices          [skew-splitting]
+      -> enrich task per slice (_get_enricher)    [R1-R3, J1-J5, M4, S6]
+         and either write per-(bucket, sink)
+         parquet + return stats (run_harvest), or return enriched rows
 
 Design notes (scale):
-  - The ONE all-to-all exchange (groupby) runs on the narrow 6-column
-    input; all ~30 enrichment columns are added after the shuffle.
-  - Side tables are ray.put once; every enrich actor reads the same
-    object-store copy.
+  - No all-to-all exchange: the corpus is conv-hash partitioned, so
+    the order-dependent window scan runs per bucket block in place.
+  - Side tables are ray.put once; every enrich task reads the same
+    object-store copy through a worker-global cached Enricher.
   - Buckets (the generator's hash partitions; convs never span them)
     are the resume unit, processed in waves; each completed wave appends
     per-bucket lineage records to the checkpoint manifest.
@@ -28,6 +31,7 @@ import shutil
 import time
 from datetime import datetime
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
@@ -35,7 +39,7 @@ import pyarrow.dataset as pads
 import ray
 import ray.data
 
-from ..config import PipelineConfig, DEFAULT_CONFIG
+from ..config import PipelineConfig, DEFAULT_CONFIG, BUCKET_TASK_CPUS
 from ..sources.readers import read_transcripts, load_side_tables
 from ..stages.project import clean_project
 from ..stages.window import bucket_window_scan
@@ -48,55 +52,101 @@ _LOG = logging.getLogger(__name__)
 def build_pipeline(fx_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
                    buckets: list[int] | None = None,
                    run_ts: datetime = DEFAULT_RUN_TS,
-                   side_ref=None, bucketed: bool = True) -> ray.data.Dataset:
-    """Lazy Dataset of enriched records for the given buckets.
+                   side_ref=None, *, out_dir: str | None = None,
+                   ts_floors: dict[int, str | None] | None = None,
+                   ) -> ray.data.Dataset:
+    """The flagship stage list over the given buckets (all by default).
 
-    bucketed=True (default) exploits the conv-hash partitioning of the
-    input files: the W1 window scan runs per bucket block with NO
-    shuffle (see stages/window.bucket_window_scan).  bucketed=False is
-    the general path for non-partitioned inputs: one all-to-all
-    groupby(conv_id) exchange on the narrow pre-enrichment columns.
-    """
+    Without `out_dir` the lazy Dataset yields the enriched records;
+    with it, each slice is enriched and written under `out_dir` and the
+    Dataset yields per-slice stats rows (_STATS_SCHEMA).  `ts_floors`
+    ({bucket: iso max_ts or None}) keeps only rows past each bucket's
+    watermark, after the scan has seen the whole bucket."""
     if side_ref is None:
         side_ref = ray.put(load_side_tables(fx_dir))
-    ds = read_transcripts(fx_dir, buckets=buckets,
-                          one_block_per_bucket=bucketed)
-    if bucketed:
-        # clean + whole-bucket sort + window scan in ONE task per
-        # bucket; turn_id/version tag deferred past the plasma transit
-        def clean_then_scan(batch, cfg=cfg):
-            return bucket_window_scan(
-                clean_project(batch, cfg, defer_derived=True), cfg,
-                check_bucket=True)
-        ds = ds.map_batches(clean_then_scan, batch_size=None,
+    ds = read_transcripts(fx_dir, buckets=buckets, one_block_per_bucket=True)
+
+    def clean_then_scan(batch, cfg=cfg):
+        # defer_derived: turn_id/version_compliance are re-derived
+        # by the Enricher AFTER the scan->slice plasma transit, so
+        # ~30 B/row of derivable strings never cross the object
+        # store; _encode_hop dictionary-encodes the repeated string
+        # columns for the same reason (both are the 8->32 CPU
+        # shared-memory ceiling lever — see _HOP_DICT_COLS)
+        return _encode_hop(bucket_window_scan(
+            clean_project(batch, cfg, defer_derived=True), cfg,
+            check_bucket=True))
+
+    # BUCKET_TASK_CPUS on the per-bucket scan prevents operator fusion
+    # with the slice stage: fused, each task would process a WHOLE
+    # bucket serially and the hot-conv bucket becomes the job's
+    # critical path; unfused, scanned blocks redistribute across
+    # the pool as ~64k-row slices (skew-splitting).  A fully-fused
+    # read+scan+enrich+write single-task-per-bucket variant was
+    # built and measured in round 3: it LOST everywhere — 3.7x
+    # slower at 16 CPUs (308k vs 1138k turns/s, sf5) because the
+    # hot bucket serializes the whole job — so slice-splitting
+    # through one plasma hop is the keeper despite this box's slow
+    # object store.
+    ds = ds.map_batches(clean_then_scan, batch_size=None,
+                        batch_format="pyarrow", zero_copy_batch=True,
+                        num_cpus=BUCKET_TASK_CPUS)
+    if ts_floors:
+        ds = ds.map_batches(_past_watermark_fn(ts_floors, cfg),
                             batch_format="pyarrow", zero_copy_batch=True,
-                            num_cpus=1.01)
+                            num_cpus=BUCKET_TASK_CPUS)
+    # Ray distributes map work at BLOCK granularity: without this,
+    # a whole bucket is ONE block, the terminal stage runs one
+    # task per bucket (write_slice_rows then only batches WITHIN
+    # that task), and the hot bucket serializes onto the critical
+    # path.  Streaming repartition splits oversized scan-output
+    # blocks into ~slice-row blocks with no shuffle, so enrich+
+    # write fans out across the whole pool.  (Lowering
+    # DataContext.target_max_block_size instead is WRONG: it also
+    # splits blocks BETWEEN the fused read->scan UDFs, feeding the
+    # window scan bucket fragments — measured repeat-visit counts
+    # collapsed 238k -> 16k at sf5.)
+    ds = ds.repartition(target_num_rows_per_block=cfg.write_slice_rows)
+    kwargs = {"side_ref": side_ref, "cfg": cfg, "run_ts": run_ts}
+    if out_dir is not None:
+        terminal, kwargs["out_dir"] = _enrich_and_write_slice, out_dir
     else:
-        # general path for non-partitioned inputs: ONE hash-partition
-        # exchange on the narrow columns, then the same multi-conv
-        # vectorized scan as the bucket path runs per partition
-        # (conv_id is corpus-cardinality — one ray group per conv
-        # would pay ~90us each; see stages/aggregate.py)
-        from ..stages.aggregate import add_part_column
-        from ..functions.parts import hash_parts
-        ds = ds.map_batches(clean_project, batch_format="pyarrow",
-                            zero_copy_batch=True, fn_kwargs={"cfg": cfg})
-        ds = ds.map_batches(add_part_column, batch_format="pyarrow",
-                            fn_kwargs={"key": "conv_id",
-                                       "n_parts": hash_parts()})
-        ds = ds.groupby("_part").map_groups(
-            lambda g: bucket_window_scan(g.drop_columns(["_part"]), cfg,
-                                         check_bucket=False),
-            batch_format="pyarrow")
-    if bucketed:
-        # fan enrich work out at slice granularity, not bucket
-        # granularity (see the _run_wave note in run_harvest)
-        ds = ds.repartition(target_num_rows_per_block=cfg.write_slice_rows)
-    ds = ds.map_batches(
-        Enricher, fn_constructor_args=(side_ref, cfg, run_ts),
-        batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=cfg.batch_size, concurrency=cfg.enrich_concurrency)
-    return ds
+        terminal = _enrich_rows
+    return ds.map_batches(terminal, batch_size=cfg.write_slice_rows,
+                          batch_format="pyarrow", zero_copy_batch=True,
+                          fn_kwargs=kwargs)
+
+
+def _past_watermark_fn(ts_floors: dict[int, str | None],
+                       cfg: PipelineConfig):
+    """Incremental delta harvest filter: the window scan ran over the
+    FULL bucket (repeat-visit flags of a new turn depend on its conv's
+    prior turns), but only rows past the bucket's recorded watermark
+    are enriched + written.  Appended rows at ts <= watermark (late
+    data) are not re-harvested — exactly the reference's dateLogged-
+    window semantics (LogHarvesterTask.java:189-204: harvest
+    (logLastAggregated + 1ms, end])."""
+    from ..functions.hashing import md5_lower64_array
+    floors_us = np.full(cfg.n_buckets, np.iinfo(np.int64).min,
+                        dtype=np.int64)
+    for b, iso in ts_floors.items():
+        if iso is not None:
+            floors_us[b] = int(pa.scalar(datetime.fromisoformat(iso),
+                                         type=pa.timestamp("us")).value)
+
+    def past_watermark(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            return batch
+        conv = batch.column("conv_id")
+        if pa.types.is_dictionary(conv.type):
+            conv = pc.cast(conv, pa.string())  # hop dict form
+        h64 = md5_lower64_array(conv)
+        bkt = (h64 % np.uint64(cfg.n_buckets)).astype(np.int64)
+        ts = pc.fill_null(
+            batch.column("ts").combine_chunks().cast(pa.int64()),
+            np.iinfo(np.int64).min).to_numpy(zero_copy_only=False)
+        return batch.filter(pa.array(ts > floors_us[bkt]))
+    return past_watermark
 
 
 # worker-process-global Enricher cache (workers are reused across tasks;
@@ -121,12 +171,12 @@ def _corpus_buckets(fx_dir: str) -> list[int]:
     return out
 
 
-def _get_enricher(side_ref, cfg, run_ts) -> Enricher:
+def _get_enricher(side_ref, cfg, run_ts, light: bool = False) -> Enricher:
     key = (side_ref.hex() if hasattr(side_ref, "hex") else id(side_ref),
-           cfg, run_ts)  # cfg is a frozen (hashable) dataclass
+           cfg, run_ts, light)  # cfg is a frozen (hashable) dataclass
     e = _WORKER_ENRICHERS.get(key)
     if e is None:
-        e = Enricher(side_ref, cfg, run_ts)
+        e = Enricher(side_ref, cfg, run_ts, light)
         _WORKER_ENRICHERS.clear()
         _WORKER_ENRICHERS[key] = e
     return e
@@ -210,6 +260,14 @@ def _write_with_retry(table: pa.Table, path: str) -> None:
             last = err
             time.sleep(0.2)
     raise last  # manifest entry never written -> bucket resumes cleanly
+
+
+def _enrich_rows(batch: pa.Table, side_ref, cfg, run_ts,
+                 light: bool = False) -> pa.Table:
+    """Row terminal: enrich a slice and return the enriched records
+    (build_pipeline without out_dir, and the registry's enrich
+    queries)."""
+    return _get_enricher(side_ref, cfg, run_ts, light)(_decode_hop(batch))
 
 
 def _enrich_and_write_slice(batch: pa.Table, out_dir: str, side_ref, cfg,
@@ -447,90 +505,6 @@ def run_harvest(fx_dir: str, out_dir: str,
     stopped_early = False
     kill_path = os.path.join(out_dir, "_KILL")
 
-    def _run_wave(wave: list[int],
-                  ts_floors: dict[int, str] | None = None) -> list[dict]:
-        ds = read_transcripts(fx_dir, buckets=wave, one_block_per_bucket=True)
-
-        def clean_then_scan(batch, cfg=cfg):
-            # defer_derived: turn_id/version_compliance are re-derived
-            # by the Enricher AFTER the scan->slice plasma transit, so
-            # ~30 B/row of derivable strings never cross the object
-            # store; _encode_hop dictionary-encodes the repeated string
-            # columns for the same reason (both are the 8->32 CPU
-            # shared-memory ceiling lever — see _HOP_DICT_COLS)
-            return _encode_hop(bucket_window_scan(
-                clean_project(batch, cfg, defer_derived=True), cfg,
-                check_bucket=True))
-
-        past_watermark = None
-        if ts_floors:
-            # incremental delta harvest: the window scan ran over the
-            # FULL bucket (repeat-visit flags of a new turn depend on
-            # its conv's prior turns), but only rows past the bucket's
-            # recorded watermark are enriched + written.  Appended rows
-            # at ts <= watermark (late data) are not re-harvested —
-            # exactly the reference's dateLogged-window semantics
-            # (LogHarvesterTask.java:189-204: harvest
-            # (logLastAggregated + 1ms, end]).
-            import numpy as np
-            from ..functions.hashing import md5_lower64_array
-            floors_us = np.full(cfg.n_buckets, np.iinfo(np.int64).min,
-                                dtype=np.int64)
-            for b, iso in ts_floors.items():
-                if iso is not None:
-                    floors_us[b] = int(pa.scalar(
-                        datetime.fromisoformat(iso),
-                        type=pa.timestamp("us")).value)
-
-            def past_watermark(batch: pa.Table) -> pa.Table:
-                if batch.num_rows == 0:
-                    return batch
-                conv = batch.column("conv_id")
-                if pa.types.is_dictionary(conv.type):
-                    conv = pc.cast(conv, pa.string())  # hop dict form
-                h64 = md5_lower64_array(conv)
-                bkt = (h64 % np.uint64(cfg.n_buckets)).astype(np.int64)
-                ts = pc.fill_null(
-                    batch.column("ts").combine_chunks().cast(pa.int64()),
-                    np.iinfo(np.int64).min).to_numpy(zero_copy_only=False)
-                return batch.filter(pa.array(ts > floors_us[bkt]))
-
-        # num_cpus=1.01 on the per-bucket scan prevents operator fusion
-        # with the slice stage: fused, each task would process a WHOLE
-        # bucket serially and the hot-conv bucket becomes the job's
-        # critical path; unfused, scanned blocks redistribute across
-        # the pool as ~64k-row slices (skew-splitting).  A fully-fused
-        # read+scan+enrich+write single-task-per-bucket variant was
-        # built and measured in round 3: it LOST everywhere — 3.7x
-        # slower at 16 CPUs (308k vs 1138k turns/s, sf5) because the
-        # hot bucket serializes the whole job — so slice-splitting
-        # through one plasma hop is the keeper despite this box's slow
-        # object store.
-        ds = ds.map_batches(clean_then_scan, batch_size=None,
-                            batch_format="pyarrow", zero_copy_batch=True,
-                            num_cpus=1.01)
-        if past_watermark is not None:
-            ds = ds.map_batches(past_watermark, batch_format="pyarrow",
-                                zero_copy_batch=True, num_cpus=1.01)
-        # Ray distributes map work at BLOCK granularity: without this,
-        # a whole bucket is ONE block, the terminal stage runs one
-        # task per bucket (write_slice_rows then only batches WITHIN
-        # that task), and the hot bucket serializes onto the critical
-        # path.  Streaming repartition splits oversized scan-output
-        # blocks into ~slice-row blocks with no shuffle, so enrich+
-        # write fans out across the whole pool.  (Lowering
-        # DataContext.target_max_block_size instead is WRONG: it also
-        # splits blocks BETWEEN the fused read->scan UDFs, feeding the
-        # window scan bucket fragments — measured repeat-visit counts
-        # collapsed 238k -> 16k at sf5.)
-        ds = ds.repartition(target_num_rows_per_block=cfg.write_slice_rows)
-        ds = ds.map_batches(
-            _enrich_and_write_slice, batch_size=cfg.write_slice_rows,
-            batch_format="pyarrow", zero_copy_batch=True,
-            fn_kwargs={"out_dir": out_dir, "side_ref": side_ref,
-                       "cfg": cfg, "run_ts": run_ts})
-        return ds.take_all()
-
     waves: list[tuple[list[int], dict[int, str] | None]] = [
         (todo[i:i + wave_size], None)
         for i in range(0, len(todo), wave_size)]
@@ -557,7 +531,9 @@ def run_harvest(fx_dir: str, out_dir: str,
         # (LogHarvesterTask.java:311-329)
         for attempt in range(1 + cfg.source_retry_attempts):
             try:
-                slice_rows = _run_wave(wave, floors)
+                slice_rows = build_pipeline(
+                    fx_dir, cfg, wave, run_ts, side_ref, out_dir=out_dir,
+                    ts_floors=floors).take_all()
                 last_err = None
                 break
             except Exception as err:  # flaky source/transform: backoff

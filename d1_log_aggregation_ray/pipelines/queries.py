@@ -23,12 +23,11 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
-from ..config import DEFAULT_CONFIG
+from ..config import DEFAULT_CONFIG, BUCKET_TASK_CPUS
 from ..gen.fixtures import generate_fixtures
 from ..sources.readers import read_transcripts, load_side_tables
 from ..stages.project import clean_project
 from ..stages.parse import regex_flags
-from ..stages.window import repeat_visit_group
 from ..ops.dedup import (minhash_lsh_dedup, simhash_dedup,
                          simhash_near_dedup, ngram_jaccard_dedup,
                          embedding_cosine_dedup)
@@ -77,21 +76,15 @@ def q_parse_flags(sf_dir: str):
 
 def _enrich_tasks(ds: ray.data.Dataset, fx: str,
                   light: bool = False) -> ray.data.Dataset:
-    """Enrichment as TASKS with a worker-global cached Enricher —
-    O(1) init makes tasks schedule better than an actor pool for
-    short interactive queries (the flagship harvest entry() keeps the
-    actor-pool formulation)."""
-    from .harvest import _get_enricher
+    """Enrichment through the flagship's row terminal (a task per
+    batch over a worker-global cached Enricher)."""
+    from .harvest import _enrich_rows
     from ..stages.enrich import DEFAULT_RUN_TS
-    side_ref = ray.put(load_side_tables(fx))
-
-    def fn(batch: pa.Table) -> pa.Table:
-        e = _get_enricher(side_ref, CFG, DEFAULT_RUN_TS)
-        e.light = light
-        return e(batch)
-
-    return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True,
-                          batch_size=CFG.batch_size)
+    return ds.map_batches(
+        _enrich_rows, batch_format="pyarrow", zero_copy_batch=True,
+        batch_size=CFG.batch_size,
+        fn_kwargs={"side_ref": ray.put(load_side_tables(fx)), "cfg": CFG,
+                   "run_ts": DEFAULT_RUN_TS, "light": light})
 
 
 def _enriched_no_window(sf_dir: str) -> ray.data.Dataset:
@@ -222,13 +215,10 @@ def q_watermark_salted(sf_dir: str):
 def q_repeat_visit(sf_dir: str):
     """W1: repeat-visit flags for gated rows (order-dependent window).
     Uses the shuffle-free bucket scan (input is conv-hash partitioned);
-    the general groupby path is repeat_visit_group."""
+    the general groupby path is stages.window.repeat_visit_group."""
     from ..stages.window import bucket_window_scan
-    fx = _fx(sf_dir)
-    ds = read_transcripts(fx, one_block_per_bucket=True).map_batches(
-        lambda b: bucket_window_scan(clean_project(b), check_bucket=True),
-        batch_size=None, batch_format="pyarrow", zero_copy_batch=True,
-        num_cpus=1.01)
+    ds = _bucket_scan(sf_dir, lambda b: bucket_window_scan(
+        clean_project(b), check_bucket=True))
     gate = pa.array(list(CFG.gate_roles))
 
     def gated_only(batch: pa.Table) -> pa.Table:
@@ -1769,7 +1759,7 @@ def _bucket_scan(sf_dir: str, scan_fn) -> ray.data.Dataset:
     fx = _fx(sf_dir)
     return read_transcripts(fx, one_block_per_bucket=True).map_batches(
         scan_fn, batch_size=None, batch_format="pyarrow",
-        zero_copy_batch=True, num_cpus=1.01)
+        zero_copy_batch=True, num_cpus=BUCKET_TASK_CPUS)
 
 
 def q_sft_pairs(sf_dir: str):

@@ -36,6 +36,8 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from ..config import BUCKET_TASK_CPUS
+
 _MANIFEST_SCHEMA = pa.schema([
     ("leaf_dir", pa.string()), ("n_in_files", pa.int64()),
     ("n_rows", pa.int64()), ("action", pa.string())])
@@ -106,4 +108,5 @@ def compact_output(out_dir: str) -> ray.data.Dataset:
     return ray.data.from_items(
         [{"leaf": d} for d in leaves],
         override_num_blocks=len(leaves)).map_batches(
-        run, batch_size=None, batch_format="pyarrow", num_cpus=1.01)
+        run, batch_size=None, batch_format="pyarrow",
+        num_cpus=BUCKET_TASK_CPUS)

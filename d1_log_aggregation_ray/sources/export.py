@@ -33,6 +33,8 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from ..config import BUCKET_TASK_CPUS
+
 _MANIFEST_SCHEMA = pa.schema([
     ("bucket_file", pa.string()), ("out_path", pa.string()),
     ("n_convs", pa.int64()), ("n_turns", pa.int64()),
@@ -102,4 +104,5 @@ def export_conversations_jsonl(fx_dir: str, out_dir: str,
     return ray.data.from_items(
         [{"path": p} for p in paths],
         override_num_blocks=len(paths)).map_batches(
-        run, batch_size=None, batch_format="pyarrow", num_cpus=1.01)
+        run, batch_size=None, batch_format="pyarrow",
+        num_cpus=BUCKET_TASK_CPUS)

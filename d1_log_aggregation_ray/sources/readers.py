@@ -22,6 +22,8 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from ..config import BUCKET_TASK_CPUS
+
 
 #: read-task retry budget: a transient in-task failure (flaky FS/object
 #: store) re-executes ONLY the failed per-bucket read task — the wave
@@ -94,12 +96,13 @@ def read_transcripts(fx_dir: str, buckets: list[int] | None = None,
 
         ds = ray.data.from_items([{"path": p} for p in paths],
                                  override_num_blocks=len(paths))
-        # num_cpus=1.01 matches the downstream per-bucket scan stage so
-        # load+scan FUSE into one task (raw bytes never hit the object
-        # store) while the scan stage stays unfused from the slice
-        # stage (see harvest.run_harvest)
+        # BUCKET_TASK_CPUS matches the downstream per-bucket scan stage
+        # so load+scan FUSE into one task (raw bytes never hit the
+        # object store) while the scan stage stays unfused from the
+        # slice stage (see harvest.build_pipeline)
         return ds.map_batches(load_file, batch_size=None,
-                              batch_format="pyarrow", num_cpus=1.01)
+                              batch_format="pyarrow",
+                              num_cpus=BUCKET_TASK_CPUS)
     return ray.data.read_parquet(paths, columns=columns)
 
 

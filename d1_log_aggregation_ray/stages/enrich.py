@@ -5,14 +5,14 @@ Reference analogs:
   - J1/J2/J3 sysmeta + format-type + access-policy joins
     (LogHarvesterTask.java:347-349; LogEntrySolrItem.java:215-265;
     LogAccessRestriction.java:41-89) -> vectorized broadcast hash join:
-    pc.index_in against side arrays held in actor state.
+    pc.index_in against side arrays held in the Enricher.
   - J5 robot-IP semi-join with CIDR ranges (LogEntrySolrItem.java:388-442)
     -> exact-key is_in + interval hit via np.searchsorted over merged
     sorted [lo,hi] uint32 ranges (the CIDR -> (lo,hi) compilation).
   - J4 GeoIP stateful enrich (LogEntrySolrItem.java:274-320,
     GeoIPService.java:78-167) -> synthetic geo derived as a pure
     function of the 64-bit conv hash (same shape: point lookup into a
-    per-actor-preloaded structure), then geohash precision 9 with
+    preloaded structure), then geohash precision 9 with
     prefixes 1..9 (LogEntrySolrItem.java:304-314).
   - M4 constants/overwrites: nodeId overwritten with harvesting node
     (bug #4099 fix, LogHarvesterTask.java:346-356), dateUpdated sentinel
@@ -22,10 +22,11 @@ Reference analogs:
   - S6 routing: sink_id = hash(conv_id) % n_sinks (content-hash fan-out
     to per-sink parquet dirs, replacing the Solr upsert sink).
 
-This is the stateful actor-pool stage: all side tables are loaded once
-per actor in __init__ (from a single ray.put broadcast), never per
-batch.  All per-row work is pyarrow/numpy kernels; md5 + geohash run
-once per *unique* conv_id per batch and scatter via index LUTs.
+The Enricher is the stateful stage, called as a plain task: each worker
+process caches one instance (pipelines.harvest._get_enricher), whose
+side tables come from a single ray.put broadcast, never per batch.  All
+per-row work is pyarrow/numpy kernels; md5 + geohash run once per
+*unique* conv_id per batch and scatter via index LUTs.
 """
 
 from __future__ import annotations
@@ -74,7 +75,9 @@ def geo_fields_for_hash(h: int) -> dict:
 
 
 class Enricher:
-    """Callable actor class for map_batches(concurrency=(m,n))."""
+    """Callable enrichment of a table of scanned turns.  O(1) to
+    construct; the harvest keeps one per worker process and calls it
+    once per slice (pipelines.harvest._get_enricher)."""
 
     def __init__(self, side: "SideTables | ray.ObjectRef",
                  cfg: PipelineConfig = DEFAULT_CONFIG,

@@ -15,16 +15,18 @@ repeats and do not move the window.
 
 The reference runs this as a single shared mutable cache over a
 globally ordered stream (ReadEventCounterCache.java:35-187).  Here the
-state never crosses (conv_id, role) boundaries, so it parallelizes as
-`sort within group` + sequential scan per group under
-`groupby("conv_id").map_groups` — one all-to-all exchange, run EARLY on
-the narrow 6-column input so the shuffle never moves enrichment columns.
+state never crosses (conv_id, role) boundaries, so it parallelizes as a
+sort + sequential scan per conv.  The harvest and the registry run it
+with NO exchange: the corpus is conv-hash partitioned, so
+bucket_window_scan processes one whole bucket block per task, early on
+the narrow 6-column input.  repeat_visit_group is the per-conv form for
+inputs without that partitioning (under groupby("conv_id")).
 
 Scale note: a single conv is the unit of sequential work; the scan is a
 tight loop over int64 ns values, ~10M turns/s/core.  Pathologically hot
 convs (>> block size) would need salted partial scans with boundary-
-window stitching; block-level row counts are surfaced in lineage so the
-skew is observable.
+window stitching.  Block row counts (the skew) are not recorded in the
+manifest yet; ROADMAP Direction 3 plans it.
 """
 
 from __future__ import annotations

@@ -330,3 +330,55 @@ def test_appenders_noop_on_empty_delta(tmp_path):
                                midx)
     assert out == ""
     assert not glob.glob(os.path.join(midx, "seg-*"))
+
+
+def test_appenders_empty_delta_with_existing_tmp_dir(tmp_path, monkeypatch):
+    """An empty delta publishes no segment even when its tmp dir already
+    exists (left by a crashed attempt, or created by a Ray version that
+    makes the output dir for a zero-row write): emptiness is read from
+    the parquet files under the tmp dir, and the empty tmp dir goes."""
+    import glob
+    import os
+    import sys
+    import uuid
+
+    import numpy as np
+    import pyarrow as pa
+
+    import ray.data
+
+    from d1_log_aggregation_ray.ops.dedup import (append_minhash_index,
+                                                  build_minhash_index)
+    from d1_log_aggregation_ray.ops.similarity import (append_ivf_index,
+                                                       build_ivf_index)
+
+    pinned, real = uuid.UUID(int=0xFEED << 64), uuid.uuid4
+    appenders = ("append_ivf_index", "append_minhash_index")
+
+    def uuid4():
+        # pin only the appenders' segment tag; Ray's own ids stay random
+        caller = sys._getframe(1).f_code.co_name
+        return pinned if caller in appenders else real()
+
+    monkeypatch.setattr(uuid, "uuid4", uuid4)
+    tmp_name = f"_tmp-seg-{pinned.hex[:16]}"
+
+    rng = np.random.RandomState(2)
+    vecs = pa.table({"vec_id": pa.array(range(30), pa.int64()),
+                     "embedding": pa.array(rng.randn(30, 4).tolist())})
+    idx = str(tmp_path / "ivf")
+    build_ivf_index(ray.data.from_arrow(vecs), idx, n_lists=3, sample_n=30)
+    os.makedirs(os.path.join(idx, tmp_name))
+    assert append_ivf_index(ray.data.from_arrow(vecs.slice(0, 0)), idx) == ""
+    assert not glob.glob(os.path.join(idx, "seg-*"))
+    assert not os.path.exists(os.path.join(idx, tmp_name))
+
+    docs = pa.table({"doc_id": pa.array(range(10), pa.int64()),
+                     "text": pa.array([f"w{i} x y" for i in range(10)])})
+    midx = str(tmp_path / "mh")
+    build_minhash_index(ray.data.from_arrow(docs), midx)
+    os.makedirs(os.path.join(midx, tmp_name))
+    assert append_minhash_index(ray.data.from_arrow(docs.slice(0, 0)),
+                                midx) == ""
+    assert not glob.glob(os.path.join(midx, "seg-*"))
+    assert not os.path.exists(os.path.join(midx, tmp_name))

@@ -1,7 +1,5 @@
 """The high-cardinality hash-partition aggregate must match a pandas
-oracle exactly (int, string and composite keys), and the general
-non-bucketed harvest path built on the same partitioning must produce
-the identical enriched output as the shuffle-free bucket path."""
+oracle exactly (int, string and composite keys)."""
 
 import numpy as np
 import pandas as pd
@@ -79,16 +77,3 @@ def test_add_part_column_key_locality():
     assert df.groupby("k")["_part"].nunique().max() == 1
     assert df["_part"].nunique() > 1
 
-
-def test_general_path_equals_bucket_path(fx_dir):
-    """build_pipeline(bucketed=False) — hash partition + multi-conv
-    scan — must emit the identical enriched rows as the shuffle-free
-    whole-bucket path."""
-    from d1_log_aggregation_ray.pipelines.harvest import build_pipeline
-    cols = ["turn_id", "sink_id", "in_partial_list", "in_full_list",
-            "is_repeat_visit", "version_compliance", "country"]
-    a = build_pipeline(fx_dir, bucketed=True).select_columns(cols).to_pandas()
-    b = build_pipeline(fx_dir, bucketed=False).select_columns(cols).to_pandas()
-    a = a.sort_values("turn_id").reset_index(drop=True)
-    b = b.sort_values("turn_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b)

@@ -14,9 +14,14 @@ from d1_log_aggregation_ray.stages.enrich import ENRICHED_COLUMNS
 
 
 @pytest.fixture(scope="module")
-def harvest(fx_dir, tmp_path_factory):
+def harvest_run(fx_dir, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("harvest_out"))
-    summary = run_harvest(fx_dir, out, resume=False)
+    return out, run_harvest(fx_dir, out, resume=False)
+
+
+@pytest.fixture(scope="module")
+def harvest(fx_dir, harvest_run):
+    out, summary = harvest_run
     engine = pads.dataset(out, partitioning="hive").to_table().to_pandas()
     engine = engine.sort_values(["conv_id", "turn_idx"],
                                 kind="mergesort").reset_index(drop=True)
@@ -75,6 +80,30 @@ def test_timestamps_and_schema(harvest):
     assert ((e == o) | (e.isna() & o.isna())).all()
     # full canonical column set present
     assert set(ENRICHED_COLUMNS) <= set(engine.columns)
+
+
+def test_row_terminal_equals_written_rows(fx_dir, harvest_run):
+    """build_pipeline ends in one of two terminals: returning the
+    enriched rows, or writing them (run_harvest).  Both close the same
+    stage list, so every enriched column must agree row for row."""
+    import pyarrow as pa
+    import ray
+
+    from d1_log_aggregation_ray.pipelines.harvest import build_pipeline
+
+    out, _ = harvest_run
+    rows = pa.concat_tables(ray.get(build_pipeline(fx_dir).to_arrow_refs()))
+    hive = pads.partitioning(pa.schema([
+        ("bucket_id", rows.schema.field("bucket_id").type),
+        ("sink_id", rows.schema.field("sink_id").type)]), flavor="hive")
+    written = pads.dataset(out, format="parquet",
+                           partitioning=hive).to_table()
+    rows = rows.sort_by("turn_id")
+    written = written.sort_by("turn_id")
+    assert rows.num_rows == written.num_rows > 0
+    for c in ENRICHED_COLUMNS:
+        assert written.column(c).combine_chunks().equals(
+            rows.column(c).combine_chunks()), c
 
 
 def test_read_permission_list(harvest):

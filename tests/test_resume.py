@@ -7,6 +7,7 @@ import shutil
 
 import pyarrow.dataset as pads
 
+from d1_log_aggregation_ray.config import BUCKET_TASK_CPUS
 from d1_log_aggregation_ray.pipelines.harvest import run_harvest
 
 
@@ -81,7 +82,7 @@ def test_source_retry_recovers_flaky_wave(fx_dir, tmp_path, monkeypatch):
             return batch
 
         return ds.map_batches(maybe_fail, batch_format="pyarrow",
-                              batch_size=None, num_cpus=1.01)
+                              batch_size=None, num_cpus=BUCKET_TASK_CPUS)
 
     monkeypatch.setattr(hmod, "read_transcripts", flaky_read)
     cfg = dataclasses.replace(DEFAULT_CONFIG, source_retry_backoff_s=0.05)
