@@ -30,13 +30,14 @@ def _install_empty_schema_warning_filter() -> None:
     """Suppress Ray's "RefBundle with a different schema" WARNING only
     when one side of the transition is an EMPTY schema.
 
-    Sort-based groupby emits schemaless zero-row blocks whenever the
-    shuffle has more output ranges than distinct keys (every manual
-    hash-partition scan here groups on a `part` column of cardinality
-    ~2x CPUs, while the sort produces one range per input block) — the
-    group UDFs are never invoked for those blocks, so they cannot be
-    typed from user code.  A transition between two NON-empty schemas
-    is a real bug signal and still warns.
+    `functions.parts.exchange`, the package's one hash exchange, runs
+    on Ray's sort-based groupby, which emits schemaless zero-row blocks
+    whenever the shuffle has more output ranges than distinct partition
+    ids (the partition column has ~2x CPUs values, while the sort
+    produces one range per input block) — `exchange` never calls its
+    `fn` for those blocks, so they cannot be typed from user code.  A
+    transition between two NON-empty schemas is a real bug signal and
+    still warns.
     """
     import logging
 

@@ -1,21 +1,40 @@
-"""Cluster-sized partition counts for the manual hash-partition
-pattern (`part = key_hash % P` + groupby(part).map_groups with one
-vectorized scan per partition) and for hash joins.
+"""The package's one hash exchange, and the decisions it owns.
 
-Partitioning assumption of the pattern: one partition of the shuffled
-rows fits in a worker's heap; P scales with the cluster, so at N x
-the data on N x the nodes the per-partition size is constant.
+`exchange(ds, key, fn)` co-locates every row with an equal `key` and
+calls `fn` once per non-empty partition.  This module alone decides
+how that happens: the partition count (`hash_parts`, scaled with the
+cluster's CPUs), the partition hash (`part_ids`: integers through a
+golden-ratio mix, fixed-size binary by its low 64 bits, everything
+else by md5-low64), the name of the transient partition column, and
+that `fn` never sees a zero-row group.  Callers emit a key column and
+never a partition id; a key that is already a 64-bit hash is passed
+as an int64 or uint64 column so it is mixed, never md5'd again.
+
+The backend is one sort-based `groupby(partition).map_groups`.  The
+partition of a key depends on P, so the ROW ORDER of an exchange's
+output depends on the cluster size and is unspecified; only the set
+of output rows is.  Partitioning assumption: one partition of the
+shuffled rows fits in a worker's heap; P scales with the cluster, so
+at N x the data on N x the nodes the per-partition size is constant.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
+import ray.data
 
 #: multiplicative 64-bit mixing constant (golden-ratio) used to spread
 #: integer keys across partitions
 HASH_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+#: transient partition column; exchange drops it before `fn` runs
+_PART = "_part"
 
 
 def _cpus() -> int:
@@ -32,13 +51,6 @@ def hash_parts() -> int:
     return max(8, _cpus() * 2)
 
 
-def join_parts() -> int:
-    """Hash-join aggregator count: each partition is an actor, and
-    requesting more actors than free CPUs stalls the join on a small
-    (e.g. 4-cpu test) session."""
-    return max(2, min(16, _cpus() // 2))
-
-
 #: sentinel standing in for NULL integer keys so null rows co-locate in
 #: one partition / one segment (a real key colliding with this value
 #: would merely share a partition — harmless — and a segment only in
@@ -47,26 +59,12 @@ def join_parts() -> int:
 NULL_KEY_SENTINEL = -(1 << 62) - 7
 
 
-def key_parts(keys: np.ndarray, n_parts: int) -> np.ndarray:
-    """int64 partition column for integer keys (golden-ratio mix).
-    `keys` MUST be int64 (use int_key_array on a possibly-null Arrow
-    column first — int64-with-nulls silently becomes float64+NaN in
-    to_numpy, and hashing float BITS would send the same key to
-    different partitions depending on whether its batch contained
-    nulls)."""
-    assert keys.dtype == np.int64, keys.dtype
-    return ((keys.view(np.uint64) * HASH_MIX) % np.uint64(n_parts)
-            ).astype(np.int64)
-
-
 def int_key_array(col) -> np.ndarray:
     """Arrow integer column -> int64 ndarray with nulls replaced by
     NULL_KEY_SENTINEL (stable representation regardless of whether the
     batch happens to contain nulls).  uint64 columns (the house 64-bit
     hash type) are bit-reinterpreted, never value-cast — values >=
     2^63 must not raise."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     if pa.types.is_unsigned_integer(col.type):
@@ -76,6 +74,52 @@ def int_key_array(col) -> np.ndarray:
         return arr.astype(np.uint64).view(np.int64)
     col = pc.fill_null(col.cast(pa.int64()), NULL_KEY_SENTINEL)
     return col.to_numpy(zero_copy_only=False).astype(np.int64)
+
+
+def part_ids(col, n_parts: int) -> np.ndarray:
+    """int64 partition id in [0, n_parts) for every row of an Arrow
+    key column.  Integers go through int_key_array (null-stable,
+    uint64 bit-reinterpreted) and the golden-ratio mix; fixed-size
+    binary (md5 digests) by its low 64 bits; everything else by its
+    md5-low64 (nulls -> 0)."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    if pa.types.is_integer(col.type):
+        h = int_key_array(col).view(np.uint64) * HASH_MIX
+    elif pa.types.is_fixed_size_binary(col.type):
+        w = col.type.byte_width
+        raw = np.frombuffer(col.buffers()[1], dtype=np.uint8)
+        raw = raw[col.offset * w:(col.offset + len(col)) * w].reshape(-1, w)
+        h = raw[:, max(0, w - 8):].copy().view(np.uint64).reshape(-1)
+    else:
+        from .hashing import md5_lower64_array
+        h = md5_lower64_array(col)
+    return (h % np.uint64(n_parts)).astype(np.int64)
+
+
+def exchange(ds: ray.data.Dataset, key: str,
+             fn: Callable[[pa.Table], pa.Table]) -> ray.data.Dataset:
+    """Hash-partition `ds` on `key` into hash_parts() partitions and
+    return the union of `fn(partition)` over every non-empty one.
+
+    Every row with an equal `key` lands in the same call; one call
+    sees many keys, so `fn` is a vectorized scan over its whole
+    partition.  `fn` receives the rows' own columns (the partition
+    column is already dropped) and never a zero-row group.  Two-sided
+    co-partition joins pass `left.union(right)` with a side tag."""
+    P = hash_parts()
+
+    def tag(batch: pa.Table) -> pa.Table:
+        return batch.append_column(
+            _PART, pa.array(part_ids(batch.column(key), P)))
+
+    def run(group: pa.Table) -> pa.Table:
+        if group.num_rows == 0:
+            return pa.table({})
+        return fn(group.drop_columns([_PART]))
+
+    return (ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
+            .groupby(_PART).map_groups(run, batch_format="pyarrow"))
 
 
 def arrow_block_refs(ds) -> list:

@@ -326,7 +326,7 @@ def semantic_dedup(ds: ray.data.Dataset, k: int = 10, iters: int = 5,
       - Centroid fit is the combiner-only Lloyd loop above — k x d
         integer partials per block, nothing else moves.
       - ONE exchange, each vector carried exactly once, keyed on
-        hash(cluster) % P (contrast: sign-LSH embedding dedup ships
+        the cluster id (contrast: sign-LSH embedding dedup ships
         n_planes+1 replicas).  Every cluster lands whole in one
         partition, and every id is in exactly one cluster, so the
         partition scan emits final survivors directly — no marks
@@ -342,9 +342,8 @@ def semantic_dedup(ds: ray.data.Dataset, k: int = 10, iters: int = 5,
         orientation (smaller id = column), so the survivor set is
         bit-identical at any parallelism — pinned-golden checkable.
     """
-    from ..functions.parts import hash_parts
+    from ..functions.parts import exchange
     from .similarity import _as_matrix, _normalize
-    P = hash_parts()
 
     # Cluster on the UNIT SPHERE (the paper's formulation): normalize
     # once before caching, so the euclidean k-means geometry coincides
@@ -382,7 +381,6 @@ def semantic_dedup(ds: ray.data.Dataset, k: int = 10, iters: int = 5,
     cref = ray.put(cent)
 
     _empty = pa.table({
-        "_part": pa.array([], pa.int64()),
         "cluster": pa.array([], pa.int64()),
         id_col: pa.array([], pa.int64()),
         "vec": pa.array([], pa.list_(pa.float64()))})
@@ -397,7 +395,6 @@ def semantic_dedup(ds: ray.data.Dataset, k: int = 10, iters: int = 5,
         n, d = m.shape
         offs = np.arange(n + 1, dtype=np.int32) * d
         return pa.table({
-            "_part": pa.array((a % P).astype(np.int64)),
             "cluster": pa.array(a),
             id_col: pc.cast(batch.column(id_col), pa.int64()),
             "vec": pa.ListArray.from_arrays(pa.array(offs),
@@ -408,8 +405,6 @@ def semantic_dedup(ds: ray.data.Dataset, k: int = 10, iters: int = 5,
                               fn_kwargs={"cent_ref": cref})
 
     def partition_scan(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "cluster" not in group.schema.names:
-            return pa.table({id_col: pa.array([], pa.int64())})
         clusters = group.column("cluster").to_numpy(zero_copy_only=False)
         ids = group.column(id_col).to_numpy(zero_copy_only=False)
         order = np.lexsort((ids, clusters))
@@ -429,8 +424,7 @@ def semantic_dedup(ds: ray.data.Dataset, k: int = 10, iters: int = 5,
                                     & smaller).any(axis=1)
         return pa.table({id_col: pa.array(ii[~dup])})
 
-    return tagged.groupby("_part").map_groups(partition_scan,
-                                              batch_format="pyarrow")
+    return exchange(tagged, "cluster", partition_scan)
 
 
 def organize_embeddings(ds: ray.data.Dataset, k: int = 10,

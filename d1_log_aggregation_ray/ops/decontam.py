@@ -38,8 +38,8 @@ import ray
 import ray.data
 
 from ..functions.hashing import md5_lower64_array
-from ..functions.parts import hash_parts
-from ..functions.parts import arrow_block_refs
+from ..functions.parts import arrow_block_refs, exchange
+from ..stages.aggregate import hash_partition_aggregate
 
 #: odd multiplier (golden-ratio constant) — uint64 polynomial base.
 _B = np.uint64(0x9E3779B97F4A7C15)
@@ -147,8 +147,7 @@ def contamination_hits(ds: ray.data.Dataset, id_col: str = "doc_id",
                               fn_kwargs={"bench_set": bench_ref})
 
 
-_EMPTY_PAIRS = pa.table({"_part": pa.array([], pa.int64()),
-                         "doc": pa.array([], pa.int64()),
+_EMPTY_PAIRS = pa.table({"doc": pa.array([], pa.int64()),
                          "gh": pa.array([], pa.uint64())})
 
 
@@ -175,9 +174,6 @@ def duplicated_ngram_stats(ds: ray.data.Dataset, id_col: str = "doc_id",
     duplication — with nothing all-pairs and no driver state.
     Collision note: distinct gram hash == distinct gram w.h.p. (64-bit
     birthday at ~2^32 distinct grams)."""
-    from ..stages.aggregate import hash_partition_aggregate
-
-    P = hash_parts()
     narrow = ds.select_columns([id_col, text_col])
 
     def pairs(batch: pa.Table) -> pa.Table:
@@ -191,9 +187,7 @@ def duplicated_ngram_stats(ds: ray.data.Dataset, id_col: str = "doc_id",
         first = np.ones(len(d), dtype=bool)
         first[1:] = (d[1:] != d[:-1]) | (g[1:] != g[:-1])
         d, g = d[first], g[first]
-        return pa.table({"_part": pa.array(
-                             (g % np.uint64(P)).astype(np.int64)),
-                         "doc": pa.array(d.astype(np.int64)),
+        return pa.table({"doc": pa.array(d.astype(np.int64)),
                          "gh": pa.array(g)})
 
     pr = narrow.map_batches(pairs, batch_format="pyarrow",
@@ -214,8 +208,7 @@ def duplicated_ngram_stats(ds: ray.data.Dataset, id_col: str = "doc_id",
             "n_dup_grams": pa.array(
                 np.bincount(inv, weights=dup).astype(np.int64))})
 
-    scanned = pr.groupby("_part").map_groups(
-        lambda t: scan(t.drop_columns(["_part"])), batch_format="pyarrow")
+    scanned = exchange(pr, "gh", scan)
     merged = hash_partition_aggregate(
         scanned, [id_col],
         [("n_grams", "sum"), ("n_dup_grams", "sum")],
@@ -228,8 +221,7 @@ def duplicated_ngram_stats(ds: ray.data.Dataset, id_col: str = "doc_id",
         batch_format="pyarrow")
 
 
-_EMPTY_TRIPLES = pa.table({"_part": pa.array([], pa.int64()),
-                           "doc": pa.array([], pa.int64()),
+_EMPTY_TRIPLES = pa.table({"doc": pa.array([], pa.int64()),
                            "th": pa.array([], pa.uint64()),
                            "cnt": pa.array([], pa.int64())})
 
@@ -258,9 +250,6 @@ def token_rarity(ds: ray.data.Dataset, id_col: str = "doc_id",
     Exchange volume O(distinct (doc, token) pairs), never the text.
     Collision note: 64-bit token hashes, same birthday argument as
     the gram hashes above."""
-    from ..stages.aggregate import hash_partition_aggregate
-
-    P = hash_parts()
     narrow = ds.select_columns([id_col, text_col])
 
     def triples(batch: pa.Table) -> pa.Table:
@@ -274,9 +263,7 @@ def token_rarity(ds: ray.data.Dataset, id_col: str = "doc_id",
         starts = np.flatnonzero(first)
         cnt = np.diff(np.r_[starts, len(d)])
         d, t = d[starts], t[starts]
-        return pa.table({"_part": pa.array(
-                             (t % np.uint64(P)).astype(np.int64)),
-                         "doc": pa.array(d.astype(np.int64)),
+        return pa.table({"doc": pa.array(d.astype(np.int64)),
                          "th": pa.array(t),
                          "cnt": pa.array(cnt.astype(np.int64))})
 
@@ -310,8 +297,7 @@ def token_rarity(ds: ray.data.Dataset, id_col: str = "doc_id",
             "sum_tf": pa.array(sum_tf),
             "min_tf": pa.array(min_tf)})
 
-    scanned = tr.groupby("_part").map_groups(
-        lambda g: scan(g.drop_columns(["_part"])), batch_format="pyarrow")
+    scanned = exchange(tr, "th", scan)
     merged = hash_partition_aggregate(
         scanned, [id_col],
         [("n_tokens", "sum"), ("sum_tf", "sum"), ("min_tf", "min")],

@@ -23,14 +23,12 @@ Scale notes:
     emits that doc's (id, dup=0) universe row alongside the (id,
     dup=1) marks, so the survivor tail is a single hash-partition
     max-aggregate with no second pass over the input lineage.
-  - The house pattern for "vectorized work per key bucket" is a manual
-    hash partition: a `part = bucket_key % P` column + groupby(part)
-    .map_groups — P python calls TOTAL (each a whole-partition numpy
-    scan), instead of one python call per mostly-singleton bucket, and
-    it works under Ray's default sort-shuffle (repartition(keys=...)
-    would require flipping the session-global shuffle strategy).
-    Partitioning assumption: one partition (~corpus/P band rows) fits
-    in a worker's heap; P scales with the cluster.
+  - The house pattern for "vectorized work per key bucket" is one
+    `exchange` on the bucket key — P python calls TOTAL (each a
+    whole-partition numpy scan), instead of one python call per
+    mostly-singleton bucket.  Partitioning assumption: one partition
+    (~corpus/P band rows) fits in a worker's heap; P scales with the
+    cluster.
   - Hash functions are crc32-based (deterministic across processes,
     unlike Python's salted hash()).
   - Tokenization/hashing is Arrow-vectorized: ONE utf8_split_whitespace
@@ -51,8 +49,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..functions.parts import hash_parts as _num_parts
-from ..functions.parts import join_parts as _join_partitions
+from ..functions.parts import exchange
+from ..stages.aggregate import hash_partition_aggregate
 
 _MERSENNE31 = (1 << 31) - 1  # 31-bit modulus: (a*x + b) fits in uint64
 
@@ -308,23 +306,21 @@ def _minhash_band_keys(sig: np.ndarray, n_bands: int) -> np.ndarray:
     return keys
 
 
-def _band_rows(batch: pa.Table, n_bands: int, n_parts: int,
-               id_col: str = "doc_id",
+def _band_rows(batch: pa.Table, n_bands: int, id_col: str = "doc_id",
                carry_score: bool = False) -> pa.Table:
-    """Expand each doc into one row per band: (part, band_key, id,
-    home) — fully vectorized (band key = polynomial combine of the
-    band's sig slice plus a band-salt, so identical slices in different
-    bands never collide into one bucket).  `part` is the manual hash
-    partition the downstream partition scan groups on; `home=1` marks
-    each doc's band-0 row, whose partition owns emitting the doc's
+    """Expand each doc into one row per band: (band_key, id, home) —
+    fully vectorized (band key = polynomial combine of the band's sig
+    slice plus a band-salt, so identical slices in different bands
+    never collide into one bucket).  band_key is the 64-bit exchange
+    key of the downstream partition scan; `home=1` marks each doc's
+    band-0 row, whose partition owns emitting the doc's
     survivor-universe (id, dup=0) row — the input is never re-read.
     `carry_score` threads the signature stage's quality score as one
     extra int64 on each doc's HOME row (0 elsewhere) so
     keep_best_dedup never needs a second text pass."""
     nrows = batch.num_rows
     if nrows == 0:
-        cols = {"part": pa.array([], pa.int64()),
-                "band_key": pa.array([], pa.int64()),
+        cols = {"band_key": pa.array([], pa.int64()),
                 id_col: pa.array([], pa.int64()),
                 "home": pa.array([], pa.int8())}
         if carry_score:
@@ -342,7 +338,6 @@ def _band_rows(batch: pa.Table, n_bands: int, n_parts: int,
     home = np.zeros(nrows * n_bands, dtype=np.int8)
     home[::n_bands] = 1  # row-major: index i*n_bands is doc i's band 0
     cols = {
-        "part": pa.array((flat % np.uint64(n_parts)).astype(np.int64)),
         "band_key": pa.array(flat.view(np.int64)),
         id_col: pa.array(np.repeat(ids, n_bands)),
         "home": pa.array(home),
@@ -383,7 +378,6 @@ def _survivors(marked: ray.data.Dataset, id_col: str) -> ray.data.Dataset:
     already contains every doc's home (id, dup=0) row plus the (id,
     dup=1) marks, so this is ONE hash-partition max-aggregate — the
     input lineage is never consumed a second time."""
-    from ..stages.aggregate import hash_partition_aggregate
     per_doc = hash_partition_aggregate(marked, [id_col], [("dup", "max")])
     return per_doc.map_batches(
         lambda t: t.filter(pc.equal(t.column("dup_max"), 0)),
@@ -396,18 +390,16 @@ def minhash_lsh_dedup(ds: ray.data.Dataset, num_perm: int = 64,
     """Docs surviving minhash-LSH dedup (doc is a dup iff any band
     bucket contains a smaller doc id whose full band-slice matches).
 
-    Fully distributed, input consumed ONCE: hash-partition the narrow
-    (8-byte key, id, home) band rows by band_key, then ONE vectorized
+    Fully distributed, input consumed ONCE: exchange the narrow
+    (8-byte key, id, home) band rows on band_key, then ONE vectorized
     numpy scan per partition emits the partition's home docs as (id,
     dup=0) universe rows plus every doc beaten by a smaller id inside
     some bucket as (id, dup=1) marks; survivors resolve in a single
     hash-partition max-aggregate.  No join, no broadcast, no driver
     state, no second pass over the input lineage."""
-    n_parts = _num_parts()
     sigs = _signatures(ds, num_perm, text_col, id_col)
     band = sigs.map_batches(_band_rows,
                             fn_kwargs={"n_bands": n_bands,
-                                       "n_parts": n_parts,
                                        "id_col": id_col},
                             batch_format="pyarrow")
 
@@ -422,9 +414,7 @@ def minhash_lsh_dedup(ds: ray.data.Dataset, num_perm: int = 64,
         return _marks_table(id_col, ids[home == 1],
                             _minhash_beaten(keys, ids))
 
-    marked = band.groupby("part").map_groups(partition_scan,
-                                             batch_format="pyarrow")
-    return _survivors(marked, id_col)
+    return _survivors(exchange(band, "band_key", partition_scan), id_col)
 
 
 def _minhash_beaten(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -515,7 +505,6 @@ def simhash_dedup(ds: ray.data.Dataset, id_col: str = "doc_id",
     """Exact-simhash-bucket dedup (hamming-0); the near-dup variant is
     simhash_near_dedup below.  Min id per simhash via the
     hash-partition aggregate (simhash cardinality ~ corpus size)."""
-    from ..stages.aggregate import hash_partition_aggregate
     with_h = ds.map_batches(_add_simhash, batch_format="pyarrow",
                             fn_kwargs={"id_col": id_col,
                                        "text_col": text_col})
@@ -552,12 +541,11 @@ def simhash_near_dedup(ds: ray.data.Dataset, max_hamming: int = 3,
     caught with 4 bands.
 
     Same distributed shape as minhash_lsh_dedup: (8-byte band key, id,
-    8-byte simhash, home) rows, manual hash partition + one vectorized
+    8-byte simhash, home) rows, one exchange on band_key + one vectorized
     scan per partition emitting home (dup=0) + beaten (dup=1) rows,
     single max-aggregate tail — input consumed once.  The verify
     python loop runs only over multi-doc buckets (rare)."""
     assert 64 % n_bands == 0
-    n_parts = _num_parts()
     with_h = ds.map_batches(_add_simhash, batch_format="pyarrow",
                             fn_kwargs={"id_col": id_col,
                                        "text_col": text_col})
@@ -565,8 +553,7 @@ def simhash_near_dedup(ds: ray.data.Dataset, max_hamming: int = 3,
     def band_rows(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
         if n == 0:
-            return pa.table({"part": pa.array([], pa.int64()),
-                             "band_key": pa.array([], pa.int64()),
+            return pa.table({"band_key": pa.array([], pa.int64()),
                              id_col: pa.array([], pa.int64()),
                              "simhash": pa.array([], pa.int64()),
                              "home": pa.array([], pa.int8())})
@@ -576,7 +563,6 @@ def simhash_near_dedup(ds: ray.data.Dataset, max_hamming: int = 3,
         home = np.zeros(n * n_bands, dtype=np.int8)
         home[::n_bands] = 1
         return pa.table({
-            "part": pa.array((flat % np.uint64(n_parts)).astype(np.int64)),
             "band_key": pa.array(flat.view(np.int64)),
             id_col: pa.array(np.repeat(ids, n_bands)),
             "simhash": pa.array(np.repeat(sh, n_bands).view(np.int64)),
@@ -593,9 +579,7 @@ def simhash_near_dedup(ds: ray.data.Dataset, max_hamming: int = 3,
         beaten = _simhash_beaten(keys, ids, sh, max_hamming)
         return _marks_table(id_col, ids[home == 1], beaten)
 
-    marked = band.groupby("part").map_groups(partition_scan,
-                                             batch_format="pyarrow")
-    return _survivors(marked, id_col)
+    return _survivors(exchange(band, "band_key", partition_scan), id_col)
 
 
 def _simhash_band_keys(sh: np.ndarray, n_bands: int) -> np.ndarray:
@@ -672,7 +656,6 @@ def dedup_family_diff(ds: ray.data.Dataset, num_perm: int = 64,
     runs each family's shared beaten-scan; marks carry per-family dup
     columns so ONE max-aggregate on doc_id resolves both verdicts and
     the disagreement filter is map-only."""
-    from ..stages.aggregate import hash_partition_aggregate
     # the standalone paths' parameter validations, enforced here too —
     # otherwise mismatched bands silently drop perms/bits and the
     # "survivor semantics are EXACTLY the standalone ops'" guarantee
@@ -683,10 +666,8 @@ def dedup_family_diff(ds: ray.data.Dataset, num_perm: int = 64,
             f"n_bands={n_bands}")
     if 64 % sim_bands != 0:
         raise ValueError(f"64 %% sim_bands={sim_bands} != 0")
-    n_parts = _num_parts()
 
     _BAND_EMPTY = pa.table({
-        "part": pa.array([], pa.int64()),
         "band_key": pa.array([], pa.int64()),
         id_col: pa.array([], pa.int64()),
         "simhash": pa.array([], pa.int64()),
@@ -714,8 +695,6 @@ def dedup_family_diff(ds: ray.data.Dataset, num_perm: int = 64,
         s_home[::sim_bands] = 1
         allk = np.concatenate([mkeys, skeys])
         return pa.table({
-            "part": pa.array((allk % np.uint64(n_parts)
-                              ).astype(np.int64)),
             "band_key": pa.array(allk.view(np.int64)),
             id_col: pa.array(np.concatenate([
                 np.repeat(ids, n_bands), np.repeat(ids, sim_bands)])),
@@ -728,13 +707,7 @@ def dedup_family_diff(ds: ray.data.Dataset, num_perm: int = 64,
             "home": pa.array(np.concatenate([m_home, s_home])),
         })
 
-    _MARKS_EMPTY = pa.table({id_col: pa.array([], pa.int64()),
-                             "dup_m": pa.array([], pa.int8()),
-                             "dup_s": pa.array([], pa.int8())})
-
     def scan(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "fam" not in group.schema.names:
-            return _MARKS_EMPTY
         fam = group.column("fam").to_numpy()
         keys = group.column("band_key").to_numpy()
         ids = group.column(id_col).to_numpy()
@@ -754,8 +727,8 @@ def dedup_family_diff(ds: ray.data.Dataset, num_perm: int = 64,
                          "dup_m": pa.array(dup_m),
                          "dup_s": pa.array(dup_s)})
 
-    marked = (ds.map_batches(dual_band, batch_format="pyarrow")
-              .groupby("part").map_groups(scan, batch_format="pyarrow"))
+    marked = exchange(ds.map_batches(dual_band, batch_format="pyarrow"),
+                      "band_key", scan)
     agg = hash_partition_aggregate(marked, [id_col],
                                    [("dup_m", "max"), ("dup_s", "max")])
 
@@ -787,80 +760,73 @@ def ngram_jaccard_dedup(ds: ray.data.Dataset, threshold: float = 0.8,
     against the bucket's min-id representative.
 
     Text never rides the band shuffle: phase 1 is the same narrow
-    (band_key, id, home) partition scan as minhash, emitting MULTI-doc
-    bucket rows (candidates) plus one narrow home row per doc; phase 2
-    LEFT-OUTER-joins the stream back to the corpus to attach texts —
-    home rows carry a negative sentinel join key (-id - 1, never a
-    real doc id; ids must be non-negative, asserted) so they cross the
-    join narrow and come out with NULL text instead of having the
-    corpus-cardinality text payload attached and then discarded;
-    phase 3 restores home ids, verifies per candidate bucket, and
-    emits the (id, dup) verdicts the max-aggregate tail resolves.
+    (band_key, id) partition scan as minhash, emitting only the rows
+    of MULTI-doc buckets (candidates); phase 2 is one id-keyed union
+    co-partition of those candidates with the corpus's (id, text)
+    rows, which attaches each candidate's text and turns every corpus
+    row into its doc's narrow home row (no text: the survivor
+    universe); phase 3 verifies per candidate bucket and emits the
+    (id, dup) verdicts the max-aggregate tail resolves.
 
     The input is consumed exactly TWICE — once into the signature/band
-    branch and once as the (id, text) join side — which is inherent to
-    keeping text off the band exchange; there is no third pass for the
-    id universe (home rows carry it)."""
-    n_parts = _num_parts()
+    branch and once as the (id, text) side of phase 2 — which is
+    inherent to keeping text off the band exchange; there is no third
+    pass for the id universe (the text rows carry it)."""
     sigs = _signatures(ds, num_perm, text_col, id_col)
     band = sigs.map_batches(_band_rows,
                             fn_kwargs={"n_bands": n_bands,
-                                       "n_parts": n_parts,
                                        "id_col": id_col},
                             batch_format="pyarrow")
 
     def multi_buckets(group: pa.Table) -> pa.Table:
-        """Candidate rows (multi-doc buckets, home=0) + this
-        partition's home rows (home=1, band_key replaced by the id so
-        the next exchange spreads them — verify ignores their key).
-        Home rows take the sentinel join key -id - 1 so the text join
-        leaves them narrow (see the operator docstring)."""
+        """Candidate rows (home=0) of this partition's multi-doc
+        buckets; their text is attached in phase 2."""
         keys = group.column("band_key").to_numpy()
         ids = group.column(id_col).to_numpy()
-        home = group.column("home").to_numpy()
         k, i, starts, counts, _ = _bucket_segments(keys, ids)
         keep = np.repeat(counts > 1, counts)
-        home_ids = ids[home == 1]
-        if len(home_ids) and int(home_ids.min()) < 0:
-            raise ValueError(
-                "ngram_jaccard_dedup requires non-negative ids "
-                "(home rows ride the text join under the -id-1 sentinel)")
+        n = int(keep.sum())
+        return pa.table({"band_key": pa.array(k[keep].view(np.int64)),
+                         id_col: pa.array(i[keep]),
+                         "home": pa.array(np.zeros(n, np.int8)),
+                         text_col: pa.nulls(n, pa.string())})
+
+    def text_rows(batch: pa.Table) -> pa.Table:
+        n = batch.num_rows
+        return pa.table({"band_key": pa.array(np.zeros(n, np.int64)),
+                         id_col: batch.column(id_col),
+                         "home": pa.array(np.ones(n, np.int8)),
+                         text_col: pc.cast(batch.column(text_col),
+                                           pa.string())})
+
+    def attach_texts(group: pa.Table) -> pa.Table:
+        """One id partition: candidates take the text of the corpus
+        row with their id (always co-located here); each corpus row
+        leaves as its doc's narrow home row, keyed by its id so the
+        verify exchange spreads the home rows evenly."""
+        home = group.column("home").to_numpy() == 1
+        ids = group.column(id_col).to_numpy()
+        tids, cids = ids[home], ids[~home]
+        order = np.argsort(tids, kind="stable")
+        pos = order[np.minimum(np.searchsorted(tids[order], cids),
+                               max(len(tids) - 1, 0))]
+        texts = group.column(text_col).filter(pa.array(home))
         return pa.table({
             "band_key": pa.array(np.concatenate(
-                [k[keep].view(np.int64), home_ids.astype(np.int64)])),
-            id_col: pa.array(np.concatenate([i[keep], -home_ids - 1])),
+                [group.column("band_key").to_numpy()[~home],
+                 tids.astype(np.int64)])),
+            id_col: pa.array(np.concatenate([cids, tids])),
             "home": pa.array(np.concatenate(
-                [np.zeros(int(keep.sum()), np.int8),
-                 np.ones(len(home_ids), np.int8)])),
+                [np.zeros(len(cids), np.int8), np.ones(len(tids), np.int8)])),
+            text_col: pa.concat_arrays(
+                [texts.take(pa.array(pos, pa.int64())).combine_chunks(),
+                 pa.nulls(len(tids), pa.string())]),
         })
 
-    cand = band.groupby("part").map_groups(multi_buckets,
-                                           batch_format="pyarrow")
-    # strip the parquet pandas metadata: the join's shuffle aggregator
-    # hashes block schemas for dedup, and the metadata dict makes the
-    # hash fail (one warning per block + a dead schema cache)
     texts = ds.select_columns([id_col, text_col]).map_batches(
-        lambda b: b.replace_schema_metadata(None),
-        batch_format="pyarrow", zero_copy_batch=True)
-    # left_outer: candidate rows (non-negative ids) all match — the
-    # corpus side is complete — while sentinel-keyed home rows match
-    # nothing and come out with NULL text instead of a full text
-    # payload that phase 3 would immediately discard
-    cand = cand.join(texts, "left_outer",
-                     num_partitions=_join_partitions(), on=(id_col,))
-
-    def prep(batch: pa.Table) -> pa.Table:
-        """Partition column for the verify exchange + restore home
-        rows' real ids from the -id-1 join sentinel."""
-        from ..stages.aggregate import add_part_column
-        batch = add_part_column(batch, "band_key", n_parts, "_part")
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        home = batch.column("home").to_numpy(zero_copy_only=False)
-        restored = np.where(home == 1, -ids - 1, ids)
-        return batch.set_column(batch.schema.get_field_index(id_col),
-                                id_col, pa.array(restored))
-
-    cand = cand.map_batches(prep, batch_format="pyarrow")
+        text_rows, batch_format="pyarrow", zero_copy_batch=True)
+    cand = exchange(exchange(band, "band_key", multi_buckets).union(texts),
+                    id_col, attach_texts)
 
     def verify_partition(group: pa.Table) -> pa.Table:
         """All candidate buckets of one band_key hash partition in one
@@ -889,9 +855,7 @@ def ngram_jaccard_dedup(ds: ray.data.Dataset, threshold: float = 0.8,
                   else np.empty(0, dtype=i.dtype))
         return _marks_table(id_col, home_ids, beaten)
 
-    marked = cand.groupby("_part").map_groups(verify_partition,
-                                              batch_format="pyarrow")
-    return _survivors(marked, id_col)
+    return _survivors(exchange(cand, "band_key", verify_partition), id_col)
 
 
 def _sign_buckets(m: np.ndarray, n_planes: int, seed: int = 17) -> np.ndarray:
@@ -916,7 +880,7 @@ def embedding_cosine_dedup(ds: ray.data.Dataset, threshold: float = 0.95,
     replication (each vector lands in its home bucket + the n_planes
     1-bit-flip buckets, so any pair within hamming 2 of each other's
     signatures co-occurs somewhere), then within-bucket cosine verify
-    under the manual-hash-partition scan.  High-threshold near-dups
+    under one exchange on the bucket.  High-threshold near-dups
     have near-identical projections, so recall loss is confined to
     pairs straddling >2 plane boundaries.  The shuffle carries each
     vector n_planes+1 times — bucketed replication, never all-pairs —
@@ -924,13 +888,11 @@ def embedding_cosine_dedup(ds: ray.data.Dataset, threshold: float = 0.95,
     consumed once.  The exact all-pairs formulation survives as
     embedding_cosine_dedup_bruteforce (test oracle only)."""
     from .similarity import _as_matrix, _normalize
-    n_parts = _num_parts()
 
     def bucket_rows(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
         if n == 0:
-            return pa.table({"part": pa.array([], pa.int64()),
-                             "bucket": pa.array([], pa.int64()),
+            return pa.table({"bucket": pa.array([], pa.int64()),
                              id_col: pa.array([], pa.int64()),
                              "vec": pa.array([], pa.list_(pa.float64())),
                              "home": pa.array([], pa.int8())})
@@ -950,7 +912,6 @@ def embedding_cosine_dedup(ds: ray.data.Dataset, threshold: float = 0.95,
         home = np.zeros(n * reps, dtype=np.int8)
         home[::reps] = 1
         return pa.table({
-            "part": pa.array((flat % np.uint64(n_parts)).astype(np.int64)),
             "bucket": pa.array(flat.view(np.int64)),
             id_col: pa.array(rep_ids),
             # one vectorized list build, no per-row python (variable-
@@ -988,9 +949,7 @@ def embedding_cosine_dedup(ds: ray.data.Dataset, threshold: float = 0.95,
                   else np.empty(0, dtype=ids.dtype))
         return _marks_table(id_col, ids[home == 1], beaten)
 
-    marked = rows.groupby("part").map_groups(partition_scan,
-                                             batch_format="pyarrow")
-    return _survivors(marked, id_col)
+    return _survivors(exchange(rows, "bucket", partition_scan), id_col)
 
 
 def embedding_cosine_dedup_bruteforce(
@@ -1041,11 +1000,11 @@ def minhash_cluster_ids(ds: ray.data.Dataset, num_perm: int = 64,
     Distributed shape: ONE narrow int64 stream carries three row
     kinds — 0 = bucket-membership rows (multi-doc buckets only),
     1 = per-doc label rows, 2 = pending improvement messages — through
-    a strictly LINEAR chain of alternating sort exchanges: co-partition
-    by hash(id) folds messages into labels and re-labels the
-    membership rows in one partition scan; co-partition by
-    hash(band_key) computes per-bucket min labels and emits
-    improvement messages, passing labels/members through.  Linearity
+    a strictly LINEAR chain of alternating exchanges: on the id, one
+    partition scan folds messages into labels and re-labels the
+    membership rows; on band_key (which a label row sets to its own
+    id, so label rows spread evenly and pass through), one scan
+    computes per-bucket min labels and emits improvement messages.  Linearity
     matters: each intermediate dataset has exactly ONE consumer, so an
     unrolled block of 3 rounds executes as one streaming plan with no
     lineage re-execution (a branching formulation — labels and
@@ -1061,25 +1020,22 @@ def minhash_cluster_ids(ds: ray.data.Dataset, num_perm: int = 64,
     its label row through every exchange, and emits it beside the
     final (id, cluster_id) — this is how keep_best_dedup selects the
     highest-quality survivor without a second text pass."""
-    from ..functions.parts import key_parts
-    n_parts = _num_parts()
     sigs = _signatures(ds, num_perm, text_col, id_col,
                        emit_score=carry_score)
     band = sigs.map_batches(_band_rows,
                             fn_kwargs={"n_bands": n_bands,
-                                       "n_parts": n_parts,
                                        "id_col": id_col,
                                        "carry_score": carry_score},
                             batch_format="pyarrow")
     NOLAB = np.int64(np.iinfo(np.int64).max)
-    # stream column order (score is a passenger: real on kind=1 label
-    # rows, 0 on membership rows and messages — max-folds preserve it)
-    COLS = ("band_key", id_col, "label", "kind") + (
-        ("score",) if carry_score else ())
+    # stream columns: band_key, id, label, kind (+ score, a passenger:
+    # real on kind=1 label rows, 0 on membership rows and messages —
+    # max-folds preserve it)
 
     def seed_state(group: pa.Table) -> pa.Table:
         """kind=0 membership rows (multi-doc buckets only) + kind=1
-        label rows (one per home doc, label = own id)."""
+        label rows (one per home doc, label = own id, band_key = own
+        id)."""
         keys = group.column("band_key").to_numpy()
         ids = group.column(id_col).to_numpy()
         home = group.column("home").to_numpy()
@@ -1088,8 +1044,7 @@ def minhash_cluster_ids(ds: ray.data.Dataset, num_perm: int = 64,
         home_ids = ids[home == 1]
         cols = {
             "band_key": pa.array(np.concatenate(
-                [k[keep].view(np.int64),
-                 np.zeros(len(home_ids), np.int64)])),
+                [k[keep].view(np.int64), home_ids.astype(np.int64)])),
             id_col: pa.array(np.concatenate([i[keep], home_ids])),
             "label": pa.array(np.concatenate(
                 [np.full(int(keep.sum()), NOLAB), home_ids])),
@@ -1103,14 +1058,7 @@ def minhash_cluster_ids(ds: ray.data.Dataset, num_perm: int = 64,
                  group.column("score").to_numpy()[home == 1]]))
         return pa.table(cols)
 
-    state = band.groupby("part").map_groups(
-        seed_state, batch_format="pyarrow").materialize()
-
-    def add_jp(b: pa.Table) -> pa.Table:
-        cols = {c: b.column(c) for c in COLS}
-        return pa.table(cols).append_column("_jp", pa.array(key_parts(
-            b.column(id_col).combine_chunks().cast(pa.int64())
-            .to_numpy(zero_copy_only=False), n_parts)))
+    state = exchange(band, "band_key", seed_state).materialize()
 
     def attach_and_fold(group: pa.Table) -> pa.Table:
         """Per id: fold the label row + pending messages (kind 1+2)
@@ -1133,7 +1081,7 @@ def minhash_cluster_ids(ds: ray.data.Dataset, num_perm: int = 64,
             else np.full(len(mid), NOLAB)
         cols = {
             "band_key": pa.array(np.concatenate(
-                [np.zeros(len(uid), np.int64), bk])),
+                [uid.astype(np.int64), bk])),
             id_col: pa.array(np.concatenate([uid, mid])),
             "label": pa.array(np.concatenate([newlab, mlab])),
             "kind": pa.array(np.concatenate(
@@ -1148,20 +1096,6 @@ def minhash_cluster_ids(ds: ray.data.Dataset, num_perm: int = 64,
                 [np.maximum.reduceat(sc, starts),
                  np.zeros(len(mid), np.int64)]))
         return pa.table(cols)
-
-    def add_bp(b: pa.Table) -> pa.Table:
-        """Bucket-exchange key: band_key for membership rows; label
-        rows ride under hash(id) so they spread evenly and pass
-        through."""
-        kind = b.column("kind").to_numpy(zero_copy_only=False)
-        bk = b.column("band_key").combine_chunks().cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        ids = b.column(id_col).combine_chunks().cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        key = np.where(kind == 0, bk, ids)
-        cols = {c: b.column(c) for c in COLS}
-        return pa.table(cols).append_column(
-            "_bp", pa.array(key_parts(key.astype(np.int64), n_parts)))
 
     def bucket_min_scatter(group: pa.Table) -> pa.Table:
         """Per band bucket (kind=0 rows): min label, scattered back as
@@ -1180,7 +1114,6 @@ def minhash_cluster_ids(ds: ray.data.Dataset, num_perm: int = 64,
         m = np.minimum.reduceat(l, starts)[seg] if len(l) else l
         better = l > m
         nb = int(better.sum())
-        passthrough = group.drop_columns(["_bp"])
         cols = {
             "band_key": pa.array(np.zeros(nb, np.int64)),
             id_col: pa.array(i[better]),
@@ -1189,20 +1122,15 @@ def minhash_cluster_ids(ds: ray.data.Dataset, num_perm: int = 64,
         }
         if carry_score:
             cols["score"] = pa.array(np.zeros(nb, np.int64))
-        msgs = pa.table(cols).cast(passthrough.schema)
-        return pa.concat_tables([passthrough, msgs])
+        return pa.concat_tables([group, pa.table(cols).cast(group.schema)])
 
     BLOCK = 3
     stream = state
     rounds = 0
     while rounds < max_rounds:
         for _ in range(BLOCK):
-            stream = stream.map_batches(
-                add_jp, batch_format="pyarrow").groupby("_jp").map_groups(
-                attach_and_fold, batch_format="pyarrow")
-            stream = stream.map_batches(
-                add_bp, batch_format="pyarrow").groupby("_bp").map_groups(
-                bucket_min_scatter, batch_format="pyarrow")
+            stream = exchange(stream, id_col, attach_and_fold)
+            stream = exchange(stream, "band_key", bucket_min_scatter)
             rounds += 1
         stream = stream.materialize()
         n_msgs = stream.map_batches(
@@ -1246,7 +1174,6 @@ def keep_best_dedup(ds: ray.data.Dataset, num_perm: int = 64,
     hash-partition max-aggregate picks each cluster's keeper.
     Nothing wider than 24-byte rows crosses any exchange after the
     signature stage."""
-    from ..stages.aggregate import hash_partition_aggregate
 
     lab = minhash_cluster_ids(ds, num_perm=num_perm,
                               n_bands=n_bands, id_col=id_col,
@@ -1305,24 +1232,15 @@ def incremental_exact_dedup(ds: ray.data.Dataset,
     fingerprint parquet with columns=[fp] (prune-at-the-read); here it
     rides the same input for the self-contained oracle."""
     from ..functions.hashing import md5_bytes_array
-    from ..functions.parts import hash_parts
-    P = hash_parts()
 
     def rows(batch: pa.Table) -> pa.Table:
-        t = batch.column(text_col)
-        if isinstance(t, pa.ChunkedArray):
-            t = t.combine_chunks()
-        fp = md5_bytes_array(t)
-        raw = np.frombuffer(fp.buffers()[1], dtype=np.uint8)
-        low = raw.reshape(-1, 16)[:, 8:].copy().view(np.uint64).reshape(-1)
         prior = batch.column(is_prior_col).to_numpy(
             zero_copy_only=False).astype(bool)
         ids = pc.cast(batch.column(id_col), pa.int64()).to_numpy(
             zero_copy_only=False).copy()
         ids[prior] = -1
         return pa.table({
-            "_part": pa.array((low % np.uint64(P)).astype(np.int64)),
-            "fp": fp,
+            "fp": md5_bytes_array(batch.column(text_col)),
             id_col: pa.array(ids),
             "side": pa.array(prior.astype(np.int8))})
 
@@ -1333,8 +1251,6 @@ def incremental_exact_dedup(ds: ray.data.Dataset,
     _EMPTY = pa.table({id_col: pa.array([], pa.int64())})
 
     def scan(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "side" not in group.schema.names:
-            return _EMPTY
         side = group.column("side").to_numpy(zero_copy_only=False)
         fp = group.column("fp").combine_chunks()
         raw = np.frombuffer(fp.buffers()[1], dtype=np.uint8)
@@ -1370,8 +1286,7 @@ def incremental_exact_dedup(ds: ray.data.Dataset,
             mid = mid[~seen]
         return pa.table({id_col: pa.array(mid)})
 
-    return tagged.groupby("_part").map_groups(scan,
-                                              batch_format="pyarrow")
+    return exchange(tagged, "fp", scan)
 
 
 _PRIOR_SENTINEL = np.int64(-(1 << 62))  # beats every real doc id
@@ -1382,7 +1297,7 @@ def build_minhash_index(ds: ray.data.Dataset, index_dir: str,
                         id_col: str = "doc_id",
                         text_col: str = "text") -> None:
     """Persist the corpus's minhash-LSH BAND INDEX as parquet under
-    `index_dir`: the UNIQUE (part, band_key) bucket keys of every doc
+    `index_dir`: the UNIQUE band_key bucket keys of every doc
     — exactly the narrow rows the incremental scan needs to decide
     "does any prior doc share this bucket" (prior docs always beat new
     ones, so the prior ids themselves never need to ride the index).
@@ -1390,31 +1305,29 @@ def build_minhash_index(ds: ray.data.Dataset, index_dir: str,
     Scale shape: signatures -> band rows -> per-partition np.unique
     scan (ONE exchange of narrow rows, identical-bucket keys collapse
     to one index row), written as one parquet dir the day-2 run reads
-    with columns=[part, band_key].  Deterministic: seeded coefficient
-    hashing, so rebuilds are byte-stable."""
-    n_parts = _num_parts()
+    with columns=[band_key].  The index stores no partition id, so it
+    is read correctly under any cluster size.  Deterministic: seeded
+    coefficient hashing, so rebuilds are byte-stable."""
+    _index_band_keys(ds, num_perm, n_bands, id_col,
+                     text_col).write_parquet(index_dir)
+
+
+def _unique_band_keys(rows: ray.data.Dataset) -> ray.data.Dataset:
+    """Globally unique band_key rows: one exchange on band_key, one
+    np.unique per partition."""
+    return exchange(rows.select_columns(["band_key"]), "band_key",
+                    lambda g: pa.table({"band_key": pa.array(
+                        np.unique(g.column("band_key").to_numpy()))}))
+
+
+def _index_band_keys(ds: ray.data.Dataset, num_perm: int, n_bands: int,
+                     id_col: str, text_col: str) -> ray.data.Dataset:
+    """The unique band keys of `ds`'s docs — the rows a band index
+    segment stores."""
     sigs = _signatures(ds, num_perm, text_col, id_col)
-    band = sigs.map_batches(_band_rows,
-                            fn_kwargs={"n_bands": n_bands,
-                                       "n_parts": n_parts,
-                                       "id_col": id_col},
-                            batch_format="pyarrow")
-
-    _EMPTY = pa.table({"part": pa.array([], pa.int64()),
-                       "band_key": pa.array([], pa.int64())})
-
-    def unique_keys(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return _EMPTY
-        k = np.unique(group.column("band_key").to_numpy())
-        part = group.column("part")[0].as_py()
-        return pa.table({"part": pa.array(np.full(len(k), part,
-                                                  np.int64)),
-                         "band_key": pa.array(k)})
-
-    (band.select_columns(["part", "band_key"])
-     .groupby("part").map_groups(unique_keys, batch_format="pyarrow")
-     .write_parquet(index_dir))
+    return _unique_band_keys(sigs.map_batches(
+        _band_rows, fn_kwargs={"n_bands": n_bands, "id_col": id_col},
+        batch_format="pyarrow"))
 
 
 def _index_parquet_files(index_dir: str) -> list[str]:
@@ -1450,32 +1363,11 @@ def append_minhash_index(ds: ray.data.Dataset, index_dir: str,
     the segment path, or "" for an empty delta."""
     import os
     import uuid
-    n_parts = _num_parts()
-    sigs = _signatures(ds, num_perm, text_col, id_col)
-    band = sigs.map_batches(_band_rows,
-                            fn_kwargs={"n_bands": n_bands,
-                                       "n_parts": n_parts,
-                                       "id_col": id_col},
-                            batch_format="pyarrow")
-
-    _EMPTY = pa.table({"part": pa.array([], pa.int64()),
-                       "band_key": pa.array([], pa.int64())})
-
-    def unique_keys(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return _EMPTY
-        k = np.unique(group.column("band_key").to_numpy())
-        part = group.column("part")[0].as_py()
-        return pa.table({"part": pa.array(np.full(len(k), part,
-                                                  np.int64)),
-                         "band_key": pa.array(k)})
-
     tag = uuid.uuid4().hex[:16]
     tmp = os.path.join(index_dir, f"_tmp-seg-{tag}")
     final = os.path.join(index_dir, f"seg-{tag}")
-    (band.select_columns(["part", "band_key"])
-     .groupby("part").map_groups(unique_keys, batch_format="pyarrow")
-     .write_parquet(tmp))
+    _index_band_keys(ds, num_perm, n_bands, id_col,
+                     text_col).write_parquet(tmp)
     from .similarity import _publish_segment
     return _publish_segment(tmp, final)
 
@@ -1486,7 +1378,7 @@ _COMPACT_MARKER = "_compacting.json"
 def compact_minhash_index(index_dir: str) -> dict:
     """Size-coalescing compaction of a segmented minhash band index:
     merge EVERY live file into one new segment of globally-unique
-    (part, band_key) rows, then delete the inputs — so day-365's
+    band_key rows, then delete the inputs — so day-365's
     incremental run reads one compact segment instead of 365.
 
     Crash-safe with the two-phase marker protocol of
@@ -1501,9 +1393,10 @@ def compact_minhash_index(index_dir: str) -> dict:
     concurrent reader; compaction still runs offline like any
     maintenance pass.
 
-    Distributed: the merge is one hash exchange of narrow (part,
-    band_key) rows + per-partition np.unique — never a driver-side
-    table.  Returns {n_in_files, n_out_files, n_keys}."""
+    Distributed: the merge is one exchange of narrow band_key rows +
+    per-partition np.unique — never a driver-side table.  Index files
+    written with a partition column (older builds) are read by
+    band_key alone.  Returns {n_in_files, n_out_files, n_keys}."""
     import glob as _glob
     import json
     import os
@@ -1520,9 +1413,11 @@ def compact_minhash_index(index_dir: str) -> dict:
     # infix), so an overlapping append's in-flight segment is never
     # clobbered even though compaction is documented offline.  A
     # CRASHED append's tmp dir would otherwise leak forever, so
-    # foreign `_tmp-*` dirs are reclaimed too — but only past an age
-    # threshold (default 1 h, $GRAFT_TMP_SWEEP_AGE_S) no live append
-    # can straddle.
+    # foreign `_tmp-*` dirs are reclaimed too — but only once NOTHING
+    # in them is younger than an age threshold (default 1 h,
+    # $GRAFT_TMP_SWEEP_AGE_S) no live append can straddle.  A writer
+    # adding files deep in the tree does not touch the top dir's
+    # mtime, so the newest mtime of the whole tree decides.
     import time as _time
     age_s = float(os.environ.get("GRAFT_TMP_SWEEP_AGE_S", "3600"))
     now = _time.time()
@@ -1530,15 +1425,9 @@ def compact_minhash_index(index_dir: str) -> dict:
         if not name.startswith("_tmp-"):
             continue
         p = os.path.join(index_dir, name)
-        if name.startswith("_tmp-seg-compact-"):
+        if name.startswith("_tmp-seg-compact-") \
+                or now - _newest_mtime(p) > age_s:
             shutil.rmtree(p, ignore_errors=True)
-        else:
-            try:
-                old = now - os.path.getmtime(p) > age_s
-            except OSError:
-                old = False
-            if old:
-                shutil.rmtree(p, ignore_errors=True)
     if os.path.exists(marker + ".tmp"):
         os.remove(marker + ".tmp")
     if os.path.exists(marker):
@@ -1573,26 +1462,13 @@ def compact_minhash_index(index_dir: str) -> dict:
                               for p in files]}, f)
     os.replace(tmp_marker, marker)
 
-    _EMPTY = pa.table({"part": pa.array([], pa.int64()),
-                       "band_key": pa.array([], pa.int64())})
-
-    def unique_keys(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "band_key" not in group.schema.names:
-            return _EMPTY
-        k = np.unique(group.column("band_key").to_numpy())
-        part = group.column("part")[0].as_py()
-        return pa.table({"part": pa.array(np.full(len(k), part,
-                                                  np.int64)),
-                         "band_key": pa.array(k)})
-
     tmp = os.path.join(index_dir, f"_tmp-{merged_name}")
     # coalesce the merged segment to ~8 MiB files (input byte size as
-    # the proxy) — without this, map_groups emits one file per hash
+    # the proxy) — without this, the exchange emits one file per hash
     # partition and a toy compaction would GROW the file count
     total = sum(os.path.getsize(p) for p in files)
     n_out = max(1, int(total // (8 << 20)))
-    (ray.data.read_parquet(files, columns=["part", "band_key"])
-     .groupby("part").map_groups(unique_keys, batch_format="pyarrow")
+    (_unique_band_keys(ray.data.read_parquet(files, columns=["band_key"]))
      .repartition(n_out).write_parquet(tmp))
     os.replace(tmp, os.path.join(index_dir, merged_name))
     for p in files:
@@ -1603,6 +1479,20 @@ def compact_minhash_index(index_dir: str) -> dict:
     n_keys = sum(pq_file_rows(p) for p in out_files)
     return {"n_in_files": len(files), "n_out_files": len(out_files),
             "n_keys": n_keys, "action": "merged"}
+
+
+def _newest_mtime(root: str) -> float:
+    """Newest mtime of `root` and everything under it (+inf when it
+    vanished mid-scan, so a racing writer's dir is never swept)."""
+    import os
+    try:
+        newest = os.path.getmtime(root)
+        for d, _, names in os.walk(root):
+            for n in names:
+                newest = max(newest, os.path.getmtime(os.path.join(d, n)))
+    except OSError:
+        return float("inf")
+    return newest
 
 
 def pq_file_rows(path: str) -> int:
@@ -1633,24 +1523,23 @@ def incremental_minhash_dedup(new_ds: ray.data.Dataset, index_dir: str,
     the prior corpus.
 
     ONE pass over the new docs, ONE exchange: new band rows and index
-    rows are tagged with the SAME part = band_key % P, the partition
-    scan treats index rows as sentinel ids smaller than every real id
-    (so any bucket shared with the prior corpus marks all its new
-    docs), and the usual marks-only survivor tail finishes.  The index
-    read is prune-at-the-read narrow (two int64 columns).  New doc
+    rows meet in one exchange on band_key (the index stores keys, never
+    partition ids, so a build on one cluster size and a query on
+    another co-locate equal keys), the partition scan treats index
+    rows as sentinel ids smaller than every real id (so any bucket
+    shared with the prior corpus marks all its new docs), and the
+    usual marks-only survivor tail finishes.  The index
+    read is prune-at-the-read narrow (one int64 column).  New doc
     ids must be non-negative (the sentinel contract)."""
-    n_parts = _num_parts()
     sigs = _signatures(new_ds, num_perm, text_col, id_col)
     band = sigs.map_batches(_band_rows,
                             fn_kwargs={"n_bands": n_bands,
-                                       "n_parts": n_parts,
                                        "id_col": id_col},
                             batch_format="pyarrow")
 
     def index_rows(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
         return pa.table({
-            "part": batch.column("part"),
             "band_key": batch.column("band_key"),
             id_col: pa.array(np.full(n, _PRIOR_SENTINEL)),
             "home": pa.array(np.zeros(n, np.int8))})
@@ -1668,14 +1557,11 @@ def incremental_minhash_dedup(new_ds: ray.data.Dataset, index_dir: str,
     total = sum(_os.path.getsize(f) for f in files)
     n_blocks = max(1, min(len(files) or 1, total // (8 << 20)))
     idx = ray.data.read_parquet(
-        files or index_dir, columns=["part", "band_key"],
+        files or index_dir, columns=["band_key"],
         override_num_blocks=n_blocks).map_batches(
         index_rows, batch_format="pyarrow", zero_copy_batch=True)
 
     def partition_scan(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "home" not in group.schema.names:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "dup": pa.array([], pa.int8())})
         keys = group.column("band_key").to_numpy()
         ids = group.column(id_col).to_numpy()
         home = group.column("home").to_numpy()
@@ -1684,9 +1570,8 @@ def incremental_minhash_dedup(new_ds: ray.data.Dataset, index_dir: str,
         beat = i[(bmin_per_row < i) & (i != _PRIOR_SENTINEL)]
         return _marks_table(id_col, ids[home == 1], np.unique(beat))
 
-    marked = band.union(idx).groupby("part").map_groups(
-        partition_scan, batch_format="pyarrow")
-    return _survivors(marked, id_col)
+    return _survivors(exchange(band.union(idx), "band_key", partition_scan),
+                      id_col)
 
 
 def source_overlap(ds: ray.data.Dataset, text_col: str = "text",
@@ -1708,8 +1593,6 @@ def source_overlap(ds: ray.data.Dataset, text_col: str = "text",
     collision.  NULL text/source rows are dropped (SQL join
     semantics)."""
     from ..functions.hashing import md5_lower64_array
-    from ..stages.aggregate import hash_partition_aggregate
-    P = _num_parts()
 
     def partial(batch: pa.Table) -> pa.Table:
         keep = pc.and_(batch.column(text_col).combine_chunks().is_valid(),
@@ -1721,21 +1604,15 @@ def source_overlap(ds: ray.data.Dataset, text_col: str = "text",
         t = pa.table({"_ph": pa.array(ph),
                       src_col: batch.column(src_col)})
         agg = t.group_by(["_ph", src_col]).aggregate([([], "count_all")])
-        agg = agg.rename_columns(
+        return agg.rename_columns(
             ["n" if c == "count_all" else c for c in agg.column_names])
-        return agg.append_column("_part", pa.array(
-            (agg.column("_ph").to_numpy(zero_copy_only=False)
-             .view(np.uint64) % np.uint64(P)).astype(np.int64)))
 
     empty = pa.schema([("src_a", pa.string()), ("src_b", pa.string()),
                        ("cnt", pa.int64())])
 
     def scan(group: pa.Table) -> pa.Table:
-        t = (group.drop_columns(["_part"])
-             .group_by(["_ph", src_col]).aggregate([("n", "sum")]))
-        if t.num_rows == 0:
-            return empty.empty_table()
-        t = t.sort_by([("_ph", "ascending"), (src_col, "ascending")])
+        t = (group.group_by(["_ph", src_col]).aggregate([("n", "sum")])
+             .sort_by([("_ph", "ascending"), (src_col, "ascending")]))
         ph = t.column("_ph").to_numpy(zero_copy_only=False)
         n = t.column("n_sum").to_numpy(zero_copy_only=False)
         src = t.column(src_col)
@@ -1773,9 +1650,8 @@ def source_overlap(ds: ray.data.Dataset, text_col: str = "text",
 
     parts = ds.select_columns([text_col, src_col]).map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True)
-    agg = hash_partition_aggregate(
-        parts.groupby("_part").map_groups(scan, batch_format="pyarrow"),
-        ["src_a", "src_b"], [("cnt", "sum")])
+    agg = hash_partition_aggregate(exchange(parts, "_ph", scan),
+                                   ["src_a", "src_b"], [("cnt", "sum")])
     return agg.map_batches(
         lambda b: pa.table({
             "src_a": b.column("src_a"), "src_b": b.column("src_b"),

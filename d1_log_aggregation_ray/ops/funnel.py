@@ -4,8 +4,8 @@ three classic telemetry rollups a log-aggregation service serves
 (reference analog: the per-node event counters + repeat-visit window
 of LogAggregator, re-expressed over user journeys).
 
-All three share the house scale shape: one hash partition exchange on
-the user key (`part = hash(user) % P`), then ONE vectorized numpy scan
+All three share the house scale shape: one `exchange` on the user
+key, then ONE vectorized numpy scan
 per partition — no per-user python, no driver materialization beyond
 tiny bounded aggregates (funnel: len(steps) rows; retention:
 (cohort_day x offset) rows, merged via hash_partition_aggregate).
@@ -20,14 +20,10 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..functions.parts import hash_parts, key_parts
+from ..functions.parts import exchange
+from .relational import _seg_keys
 
 _DAY_US = 86_400_000_000
-
-
-def _user_parts(batch: pa.Table, user_col: str, P: int) -> np.ndarray:
-    from .relational import _seg_keys
-    return key_parts(_seg_keys(batch.column(user_col)), P)
 
 
 def funnel_counts(ds: ray.data.Dataset, steps: list[str],
@@ -48,11 +44,10 @@ def funnel_counts(ds: ray.data.Dataset, steps: list[str],
     over user slots — no per-user loop, no sort needed).  The final
     exchange carries len(steps) rows per partition.
     """
-    P = hash_parts()
     step_idx = {s: i for i, s in enumerate(steps)}
     steps_arr = pa.array(steps, pa.string())
 
-    def add_part(batch: pa.Table) -> pa.Table:
+    def step_rows(batch: pa.Table) -> pa.Table:
         keep = pc.and_(
             pc.and_(pc.is_in(batch.column(type_col), value_set=steps_arr),
                     pc.is_valid(batch.column(ts_col))),
@@ -67,7 +62,6 @@ def funnel_counts(ds: ray.data.Dataset, steps: list[str],
         sidx = lut[d.indices.to_numpy(zero_copy_only=False)] \
             if batch.num_rows else np.empty(0, np.int64)
         return pa.table({
-            "part": pa.array(_user_parts(batch, user_col, P)),
             "u": batch.column(user_col),
             "sidx": pa.array(sidx),
             "ts": batch.column(ts_col),
@@ -77,10 +71,6 @@ def funnel_counts(ds: ray.data.Dataset, steps: list[str],
     window_us = None if window_s is None else float(window_s) * 1e6
 
     def partition_scan(group: pa.Table) -> pa.Table:
-        from .relational import _seg_keys
-        if group.num_rows == 0:
-            return pa.table({"step": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
         u = _seg_keys(group.column("u"))
         uniq, uidx = np.unique(u, return_inverse=True)
         sidx = group.column("sidx").to_numpy(zero_copy_only=False)
@@ -100,10 +90,9 @@ def funnel_counts(ds: ray.data.Dataset, steps: list[str],
         return pa.table({"step": pa.array(np.arange(1, n_steps + 1)),
                          "n": pa.array(counts)})
 
-    partials = (ds.map_batches(add_part, batch_format="pyarrow",
-                               zero_copy_batch=True)
-                .groupby("part").map_groups(partition_scan,
-                                            batch_format="pyarrow"))
+    partials = exchange(ds.map_batches(step_rows, batch_format="pyarrow",
+                                       zero_copy_batch=True),
+                        "u", partition_scan)
 
     # bounded merge: len(steps) groups — native groupby is fine here
     from ray.data.aggregate import Sum
@@ -134,10 +123,8 @@ def retention_counts(ds: ray.data.Dataset, user_col: str = "user_id",
     (cells can be numerous at year-scale corpora — never collected on
     the driver).
     """
-    P = hash_parts()
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        from .relational import _seg_keys
+    def user_days(batch: pa.Table) -> pa.Table:
         keep = pc.and_(pc.is_valid(batch.column(ts_col)),
                        pc.is_valid(batch.column(user_col)))
         batch = batch.filter(keep)
@@ -149,18 +136,11 @@ def retention_counts(ds: ray.data.Dataset, user_col: str = "user_id",
         pairs = np.unique(np.stack([u, day], axis=1), axis=0) \
             if len(u) else np.empty((0, 2), np.int64)
         return pa.table({
-            "part": pa.array(key_parts(np.ascontiguousarray(pairs[:, 0]),
-                                       P)),
-            "u": pa.array(pairs[:, 0]),
+            "u": pa.array(np.ascontiguousarray(pairs[:, 0])),
             "day": pa.array(pairs[:, 1]),
         })
 
     def partition_scan(group: pa.Table) -> pa.Table:
-        empty = pa.table({"cohort_day": pa.array([], pa.int64()),
-                          "day_offset": pa.array([], pa.int64()),
-                          "n": pa.array([], pa.int64())})
-        if group.num_rows == 0:
-            return empty
         u = group.column("u").to_numpy(zero_copy_only=False)
         day = group.column("day").to_numpy(zero_copy_only=False)
         # cross-batch distinct within the partition
@@ -179,10 +159,9 @@ def retention_counts(ds: ray.data.Dataset, user_col: str = "user_id",
                              np.ascontiguousarray(cells[:, 1])),
                          "n": pa.array(counts.astype(np.int64))})
 
-    partials = (ds.map_batches(add_part, batch_format="pyarrow",
-                               zero_copy_batch=True)
-                .groupby("part").map_groups(partition_scan,
-                                            batch_format="pyarrow"))
+    partials = exchange(ds.map_batches(user_days, batch_format="pyarrow",
+                                       zero_copy_batch=True),
+                        "u", partition_scan)
 
     from ..stages.aggregate import hash_partition_aggregate
     merged = hash_partition_aggregate(
@@ -215,23 +194,17 @@ def session_ids(ds: ray.data.Dataset, gap_s: int = 1800,
     (never collected).
     """
     gap_us = gap_s * 1_000_000
-    P = hash_parts()
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        from .relational import _seg_keys
+    def user_rows(batch: pa.Table) -> pa.Table:
         batch = batch.filter(
             batch.column(ts_col).combine_chunks().is_valid())
         return pa.table({
-            "part": pa.array(_user_parts(batch, user_col, P)),
             "u": pa.array(_seg_keys(batch.column(user_col))),
             id_col: batch.column(id_col),
             ts_col: batch.column(ts_col),
         })
 
     def partition_scan(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "session_seq": pa.array([], pa.int64())})
         u = group.column("u").to_numpy(zero_copy_only=False)
         ts = group.column(ts_col).combine_chunks().cast(pa.int64()) \
             .to_numpy(zero_copy_only=False)
@@ -249,7 +222,6 @@ def session_ids(ds: ray.data.Dataset, gap_s: int = 1800,
         return pa.table({id_col: group.column(id_col),
                          "session_seq": pa.array(out.astype(np.int64))})
 
-    return (ds.map_batches(add_part, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby("part").map_groups(partition_scan,
-                                        batch_format="pyarrow"))
+    return exchange(ds.map_batches(user_rows, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                    "u", partition_scan)

@@ -429,19 +429,19 @@ def role_merge_scan(batch: pa.Table) -> pa.Table:
 
 
 _FORK_SCHEMA = pa.schema([
-    ("part", pa.int64()), ("pfp", pa.string()), ("depth", pa.int64()),
+    ("h64", pa.uint64()), ("pfp", pa.string()), ("depth", pa.int64()),
     ("n_turns", pa.int64()), ("conv_id", pa.string())])
 
 _FORK_OUT_SCHEMA = pa.schema([("conv_id", pa.string())])
 
 
-def prefix_chain_scan(batch: pa.Table, n_parts: int) -> pa.Table:
+def prefix_chain_scan(batch: pa.Table) -> pa.Table:
     """Chained per-conversation prefix fingerprints for fork dedup:
     h_k = md5hex(h_{k-1} + US + "role:text"_k) with h_0 = "" — one
     32-hex fingerprint per (conv, depth), LINEAR in transcript bytes
     (no cumulative-prefix materialization).  Emits one row per turn:
-    (part, pfp, depth, n_turns, conv_id), where part is derived from
-    the digest itself so the dedup exchange needs no second hash.
+    (h64, pfp, depth, n_turns, conv_id), where h64 is the digest's low
+    64 bits, so the dedup exchange keys on it with no second hash.
 
     md5 chaining is inherently per-item AND sequential within a conv
     (each digest feeds the next), so this is the one scan in the
@@ -467,18 +467,17 @@ def prefix_chain_scan(batch: pa.Table, n_parts: int) -> pa.Table:
     piece_py = pieces.to_pylist()
     md5 = hashlib.md5
     hs = [""] * n
-    parts = np.empty(n, dtype=np.int64)
+    h64 = np.empty(n, dtype=np.uint64)
     prev = ""
-    P = n_parts
     for i in range(n):
         if is_start[i]:
             prev = ""
         d = md5((prev + "\x1f" + piece_py[i]).encode("utf-8"))
         prev = d.hexdigest()
         hs[i] = prev
-        parts[i] = int.from_bytes(d.digest()[8:], "little") % P
+        h64[i] = int.from_bytes(d.digest()[8:], "little")
     return pa.table({
-        "part": pa.array(parts),
+        "h64": pa.array(h64),
         "pfp": pa.array(hs, pa.string()),
         "depth": pa.array(depth),
         "n_turns": pa.array(n_turns),
@@ -487,7 +486,8 @@ def prefix_chain_scan(batch: pa.Table, n_parts: int) -> pa.Table:
 
 
 def fork_dedup_partition(group: pa.Table) -> pa.Table:
-    """Survivor scan for one fingerprint partition: group rows by pfp
+    """Survivor scan for one fingerprint partition (any set of rows
+    that holds every row of each pfp it holds): group rows by pfp
     (all rows of a group share the same depth — equal chains encode
     equal-length prefixes); a conversation's FULL row (depth ==
     n_turns) survives iff no other conv extends past it in this group
@@ -495,8 +495,6 @@ def fork_dedup_partition(group: pa.Table) -> pa.Table:
     duplicates keep-first).  A conv that is a proper prefix of another
     is dropped; the extension is judged in its own full-hash group, so
     prefix chains A < B < C keep only C."""
-    if group.num_rows == 0:
-        return _FORK_OUT_SCHEMA.empty_table()
     g = group.sort_by([("pfp", "ascending"), ("conv_id", "ascending")])
     enc = np.asarray(
         g.column("pfp").combine_chunks().dictionary_encode().indices)

@@ -1,17 +1,17 @@
 """Relational operators Ray Data lacks natively, composed per the
-SURVEY custom-operator rule (map_batches + groupby().map_groups +
+SURVEY custom-operator rule (map_batches + one `exchange` +
 explicit partitioning assumptions):
 
-  - as-of join: per-key sort + merge_asof inside map_groups
+  - as-of join: per-key sort + searchsorted inside one partition scan
   - tumbling-window aggregate: vectorized window-id column + groupby
   - per-group top-k: per-group sort + head
   - exact distinct count: per-batch pair dedup (combiner) + final
     per-key unique count
 
-Partitioning assumption for asof/topk: groupby(key) delivers whole key
-groups (Ray's sort-based groupby guarantees it); for skewed keys the
-salted pattern in stages/aggregate.py applies to the aggregates but
-NOT to asof (order-dependent within key, like the W1 window).
+Partitioning assumption for asof/topk: the exchange delivers whole key
+groups to one partition scan; for skewed keys the salted pattern in
+stages/aggregate.py applies to the aggregates but NOT to asof
+(order-dependent within key, like the W1 window).
 """
 
 from __future__ import annotations
@@ -24,10 +24,8 @@ import ray
 import ray.data
 
 
-from ..functions.parts import hash_parts as _asof_parts
-from ..functions.parts import key_parts as _key_parts
 from ..functions.parts import int_key_array as _int_keys
-from ..functions.parts import arrow_block_refs
+from ..functions.parts import arrow_block_refs, exchange
 
 
 def _seg_keys(col) -> np.ndarray:
@@ -57,26 +55,14 @@ def asof_join_prior(ds: ray.data.Dataset, key: str, ts_col: str,
     never match; a null-ts LEFT row ranks after every real ts
     (nulls-last) and joins the key's last right row.
 
-    Scale shape: one python call per HASH PARTITION of keys (manual
-    `part = key_hash % P` + groupby(part).map_groups), not one per key
-    — inside a partition every key is resolved by ONE np.searchsorted
-    over a (key_rank, ts_rank) composite (ts rank-encoded so the
-    composite never overflows int64), so many-small-keys cost is O(n
-    log n) per partition with zero per-key python/pandas overhead.
+    Scale shape: one python call per HASH PARTITION of keys (one
+    `exchange` on the key), not one per key — inside a partition every
+    key is resolved by ONE np.searchsorted over a (key_rank, ts_rank)
+    composite (ts rank-encoded so the composite never overflows
+    int64), so many-small-keys cost is O(n log n) per partition with
+    zero per-key python/pandas overhead.
     Ties on (key, ts) resolve to the max-id right row, matching the
     previous merge_asof formulation and the DuckDB oracle."""
-    P = _asof_parts()
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        # _seg_keys: type-generic 64-bit key hash (int identity with a
-        # null sentinel, md5-low64 for strings) so the partition of
-        # every OTHER key never depends on whether this batch contains
-        # nulls, and string/binary key columns work unchanged
-        part = _key_parts(_seg_keys(batch.column(key)), P)
-        cols = {c: batch.column(c) for c in
-                (key, ts_col, type_col, value_col, id_col)}
-        cols["part"] = pa.array(part)
-        return pa.table(cols)
 
     def partition_scan(group: pa.Table) -> pa.Table:
         types = group.column(type_col)
@@ -135,10 +121,8 @@ def asof_join_prior(ds: ray.data.Dataset, key: str, ts_col: str,
                          "prior_value": pa.array(vals, pa.float64(),
                                                  from_pandas=True)})
 
-    parts = ds.map_batches(add_part, batch_format="pyarrow",
-                           zero_copy_batch=True)
-    return parts.groupby("part").map_groups(partition_scan,
-                                            batch_format="pyarrow")
+    return exchange(ds.select_columns(
+        [key, ts_col, type_col, value_col, id_col]), key, partition_scan)
 
 
 def tumbling_counts(ds: ray.data.Dataset, key: str, ts_col: str,
@@ -252,48 +236,31 @@ def topk_per_key(ds: ray.data.Dataset, key: str, order_col: str,
     most k rows per key per block cross the exchange), then one
     vectorized sort + segment-head per hash partition of keys; no
     per-key python calls."""
-    P = _asof_parts()
 
-    def _local_topk(batch: pa.Table, with_part: bool) -> pa.Table:
+    def _local_topk(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
-            cols = dict(zip(batch.column_names, batch.columns))
-        else:
-            # sentinel-filled int keys: null keys form one segment (==
-            # the SQL window's NULL partition) and non-null keys keep a
-            # null-independent representation
-            kv = _seg_keys(batch.column(key))
-            ov = batch.column(order_col).to_numpy(zero_copy_only=False)
-            tv = batch.column(tiebreak).to_numpy(zero_copy_only=False)
-            # descending: lexsort on an order-reversed key.  argsort of
-            # -ov is wrong for uint64 (wraparound), so rank-encode via
-            # a stable double negation only for signed/float inputs
-            o2 = ov if ascending else (
-                np.iinfo(ov.dtype).max - ov if ov.dtype.kind == "u"
-                else -ov)
-            order = np.lexsort((tv, o2, kv))
-            ks = kv[order]
-            starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
-            rank = np.arange(len(ks)) - np.repeat(
-                starts, np.diff(np.r_[starts, len(ks)]))
-            keep = order[rank < k]
-            batch = batch.take(pa.array(keep))
-            cols = dict(zip(batch.column_names, batch.columns))
-            if with_part:  # kv[keep] IS the kept rows' sentinel-filled keys
-                cols["part"] = pa.array(_key_parts(kv[keep], P))
-            return pa.table(cols)
-        if with_part:  # empty batch: derive (trivially) from the column
-            cols["part"] = pa.array(_key_parts(_seg_keys(batch.column(key)),
-                                               P))
-        return pa.table(cols)
+            return batch
+        # sentinel-filled int keys: null keys form one segment (== the
+        # SQL window's NULL partition) and non-null keys keep a
+        # null-independent representation
+        kv = _seg_keys(batch.column(key))
+        ov = batch.column(order_col).to_numpy(zero_copy_only=False)
+        tv = batch.column(tiebreak).to_numpy(zero_copy_only=False)
+        # descending: lexsort on an order-reversed key.  argsort of -ov
+        # is wrong for uint64 (wraparound), so rank-encode via a stable
+        # double negation only for signed/float inputs
+        o2 = ov if ascending else (
+            np.iinfo(ov.dtype).max - ov if ov.dtype.kind == "u" else -ov)
+        order = np.lexsort((tv, o2, kv))
+        ks = kv[order]
+        starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
+        rank = np.arange(len(ks)) - np.repeat(
+            starts, np.diff(np.r_[starts, len(ks)]))
+        return batch.take(pa.array(order[rank < k]))
 
-    local = ds.map_batches(lambda b: _local_topk(b, True),
-                           batch_format="pyarrow", zero_copy_batch=True)
-
-    def partition_scan(group: pa.Table) -> pa.Table:
-        return _local_topk(group.drop_columns(["part"]), False)
-
-    return local.groupby("part").map_groups(partition_scan,
-                                            batch_format="pyarrow")
+    local = ds.map_batches(_local_topk, batch_format="pyarrow",
+                           zero_copy_batch=True)
+    return exchange(local, key, _local_topk)
 
 
 def distinct_count(ds: ray.data.Dataset, key: str,
@@ -327,14 +294,7 @@ def distinct_count(ds: ray.data.Dataset, key: str,
 
     # hash-partition by key (keys can be corpus-cardinality; one ray
     # group per PARTITION, count_unique handles all its keys at once)
-    from ..stages.aggregate import add_part_column
-    from ..functions.parts import hash_parts
-    parts = uniq_pairs.map_batches(
-        add_part_column, batch_format="pyarrow",
-        fn_kwargs={"key": key, "n_parts": hash_parts()})
-    return parts.groupby("_part").map_groups(
-        lambda g: count_unique(g.drop_columns(["_part"])),
-        batch_format="pyarrow")
+    return exchange(uniq_pairs, key, count_unique)
 
 
 def value_quantiles(ds: ray.data.Dataset, val_col: str,
@@ -422,14 +382,13 @@ def anti_join_keys(left: ray.data.Dataset, right: ray.data.Dataset,
     non-null keys) — one column of surviving left keys.
 
     Scale shape (both sides large): the union co-partition pattern
-    (q_top_orders) — both sides tagged with the SAME
-    _part = hash(key) % P, ONE sort-exchange co-locates them, and a
+    (q_top_orders) — both sides emit the same int64 key column `k`,
+    ONE `exchange` of their union co-locates them, and a
     vectorized searchsorted scan per partition emits the misses.  The
     right side is deduplicated per block BEFORE the exchange (a
     membership probe needs each key once), so the shuffle carries
     unique-right + left keys, nothing wider.  No broadcast: neither
     side needs to fit anywhere whole."""
-    P = _asof_parts()
 
     def _rows(batch: pa.Table, *, key: str, side: int) -> pa.Table:
         col = batch.column(key)
@@ -440,7 +399,6 @@ def anti_join_keys(left: ray.data.Dataset, right: ray.data.Dataset,
         if side == 1:
             k = np.unique(k)  # per-block combiner: membership only
         return pa.table({
-            "_part": pa.array(_key_parts(k, P)),
             "k": pa.array(k),
             "side": pa.array(np.full(len(k), side, np.int8))})
 
@@ -452,8 +410,6 @@ def anti_join_keys(left: ray.data.Dataset, right: ray.data.Dataset,
         fn_kwargs={"key": right_key, "side": 1})
 
     def scan(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "side" not in group.schema.names:
-            return pa.table({left_key: pa.array([], pa.int64())})
         side = group.column("side").to_numpy(zero_copy_only=False)
         k = group.column("k").to_numpy(zero_copy_only=False)
         lk, rk = k[side == 0], np.unique(k[side == 1])
@@ -463,8 +419,7 @@ def anti_join_keys(left: ray.data.Dataset, right: ray.data.Dataset,
         pos[pos == len(rk)] = 0
         return pa.table({left_key: pa.array(lk[rk[pos] != lk])})
 
-    return l_rows.union(r_rows).groupby("_part").map_groups(
-        scan, batch_format="pyarrow")
+    return exchange(l_rows.union(r_rows), "k", scan)
 
 
 def zscore_per_key(ds: ray.data.Dataset, key: str, val_col: str,
@@ -486,7 +441,6 @@ def zscore_per_key(ds: ray.data.Dataset, key: str, val_col: str,
     association order (mean = s/n; var = (ss - s*s/n)/(n-1)) and
     rounded half-away to 6 decimals, absorbing partial-sum-order ulp
     differences."""
-    P = _asof_parts()
 
     def rows(batch: pa.Table) -> pa.Table:
         k = pc.cast(batch.column(key), pa.int64()).to_numpy(
@@ -505,10 +459,8 @@ def zscore_per_key(ds: ray.data.Dataset, key: str, val_col: str,
               else np.array([], np.float64))
         mss = (np.add.reduceat(vs * vs, starts) if len(starts)
                else np.array([], np.float64))
-        allk = np.concatenate([k, mk])
         return pa.table({
-            "_part": pa.array(_key_parts(allk, P)),
-            "k": pa.array(allk),
+            "k": pa.array(np.concatenate([k, mk])),
             "id": pa.array(np.concatenate(
                 [ids, np.zeros(len(mk), np.int64)])),
             "v": pa.array(np.concatenate(
@@ -530,8 +482,6 @@ def zscore_per_key(ds: ray.data.Dataset, key: str, val_col: str,
                        "z": pa.array([], pa.float64())})
 
     def scan(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "side" not in group.schema.names:
-            return _EMPTY
         side = group.column("side").to_numpy(zero_copy_only=False)
         k = group.column("k").to_numpy(zero_copy_only=False)
         mm = side == 1
@@ -572,8 +522,7 @@ def zscore_per_key(ds: ray.data.Dataset, key: str, val_col: str,
         return pa.table({"event_id": pa.array(vid[hit]),
                          "z": pa.array(z, mask=~ok)})
 
-    return tagged.groupby("_part").map_groups(
-        scan, batch_format="pyarrow")
+    return exchange(tagged, "k", scan)
 
 
 def grouped_corr(ds: ray.data.Dataset, key: str, x_col: str,
@@ -596,7 +545,6 @@ def grouped_corr(ds: ray.data.Dataset, key: str, x_col: str,
     association order — cov = sxy - sx*sy/n, vx = sxx - sx*sx/n,
     vy = syy - sy*sy/n, corr = cov / sqrt(vx * vy) — then rounds
     half-away to 6 decimals, absorbing partial-sum-order ulps."""
-    P = _asof_parts()
 
     def partial(batch: pa.Table) -> pa.Table:
         korig = batch.column(key)
@@ -614,9 +562,6 @@ def grouped_corr(ds: ray.data.Dataset, key: str, x_col: str,
         seg = lambda a: (np.add.reduceat(a, starts) if len(starts)
                          else np.array([], np.float64))
         return pa.table({
-            "_part": pa.array(_key_parts(ks[starts], P)
-                              if len(starts)
-                              else np.array([], np.int64)),
             "k": pa.array(ks[starts]),
             "key_orig": korig.take(pa.array(order[starts],
                                             pa.int64())),
@@ -629,14 +574,8 @@ def grouped_corr(ds: ray.data.Dataset, key: str, x_col: str,
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    sch = ds.schema()
-    key_type = dict(zip(sch.names, sch.types))[key]
-    _EMPTY = pa.table({key: pa.array([], key_type),
-                       out_col: pa.array([], pa.float64())})
 
     def scan(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "k" not in group.schema.names:
-            return _EMPTY
         k = group.column("k").to_numpy(zero_copy_only=False)
         order = np.argsort(k, kind="stable")
         ks = k[order]
@@ -664,8 +603,7 @@ def grouped_corr(ds: ray.data.Dataset, key: str, x_col: str,
         return pa.table({key: keys,
                          out_col: pa.array(r[ok], pa.float64())})
 
-    return partials.groupby("_part").map_groups(
-        scan, batch_format="pyarrow")
+    return exchange(partials, "k", scan)
 
 
 def grouped_quantiles(ds: ray.data.Dataset, key_col: str, val_col: str,
@@ -689,7 +627,6 @@ def grouped_quantiles(ds: ray.data.Dataset, key_col: str, val_col: str,
     exact binary equality, so the picked element is copied bit-exact,
     never recomputed).
     """
-    from ..stages.aggregate import add_part_column
     qs = [float(q) for q in qs]
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -702,16 +639,11 @@ def grouped_quantiles(ds: ray.data.Dataset, key_col: str, val_col: str,
         return agg.rename_columns(
             ["c" if c == "count_all" else c for c in agg.column_names])
 
-    empty = pa.schema([(key_col, pa.string()), ("q", pa.float64()),
-                       ("value", value_type)]).empty_table()
     np_vt = value_type.to_pandas_dtype()
 
     def scan(group: pa.Table) -> pa.Table:
-        t = (group.drop_columns(["_part"])
-             .group_by([key_col, "v"]).aggregate([("c", "sum")]))
-        if t.num_rows == 0:
-            return empty
-        t = t.sort_by([(key_col, "ascending"), ("v", "ascending")])
+        t = (group.group_by([key_col, "v"]).aggregate([("c", "sum")])
+             .sort_by([(key_col, "ascending"), ("v", "ascending")]))
         v = t.column("v").to_numpy(zero_copy_only=False).astype(np_vt)
         c = t.column("c_sum").to_numpy(zero_copy_only=False)
         codes = np.asarray(
@@ -736,13 +668,8 @@ def grouped_quantiles(ds: ray.data.Dataset, key_col: str, val_col: str,
         return pa.concat_tables(outs).sort_by(
             [(key_col, "ascending"), ("q", "ascending")])
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .map_batches(add_part_column, batch_format="pyarrow",
-                         zero_copy_batch=True,
-                         fn_kwargs={"key": key_col,
-                                    "n_parts": _asof_parts()})
-            .groupby("_part").map_groups(scan, batch_format="pyarrow"))
+    return exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                   zero_copy_batch=True), key_col, scan)
 
 
 def grouped_mode(ds: ray.data.Dataset, key_col: str, val_col: str,
@@ -758,7 +685,6 @@ def grouped_mode(ds: ray.data.Dataset, key_col: str, val_col: str,
 
     Output: (key_col, out_val, out_n int64), one row per key.
     """
-    from ..stages.aggregate import add_part_column
 
     def partial(batch: pa.Table) -> pa.Table:
         t = pa.table({key_col: batch.column(key_col),
@@ -770,16 +696,10 @@ def grouped_mode(ds: ray.data.Dataset, key_col: str, val_col: str,
         return agg.rename_columns(
             ["c" if c == "count_all" else c for c in agg.column_names])
 
-    empty = pa.schema([(key_col, pa.string()), (out_val, pa.string()),
-                       (out_n, pa.int64())]).empty_table()
-
     def scan(group: pa.Table) -> pa.Table:
-        t = (group.drop_columns(["_part"])
-             .group_by([key_col, val_col]).aggregate([("c", "sum")]))
-        if t.num_rows == 0:
-            return empty
-        t = t.sort_by([(key_col, "ascending"), ("c_sum", "descending"),
-                       (val_col, "ascending")])
+        t = (group.group_by([key_col, val_col]).aggregate([("c", "sum")])
+             .sort_by([(key_col, "ascending"), ("c_sum", "descending"),
+                       (val_col, "ascending")]))
         codes = np.asarray(
             t.column(key_col).combine_chunks().dictionary_encode().indices)
         heads = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
@@ -790,13 +710,8 @@ def grouped_mode(ds: ray.data.Dataset, key_col: str, val_col: str,
             out_n: pc.cast(t.column("c_sum"), pa.int64()),
         })
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .map_batches(add_part_column, batch_format="pyarrow",
-                         zero_copy_batch=True,
-                         fn_kwargs={"key": key_col,
-                                    "n_parts": _asof_parts()})
-            .groupby("_part").map_groups(scan, batch_format="pyarrow"))
+    return exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                   zero_copy_batch=True), key_col, scan)
 
 
 def interval_join(points: ray.data.Dataset, intervals: ray.data.Dataset,
@@ -811,8 +726,8 @@ def interval_join(points: ray.data.Dataset, intervals: ray.data.Dataset,
     promo-window attribution work.
 
     Scale shape (both sides large): the union co-partition pattern
-    (anti_join_keys) — each side becomes narrow rows tagged with the
-    SAME _part = hash(key) % P, ONE sort-exchange co-locates them, and
+    (anti_join_keys) — each side becomes narrow rows keyed by the SAME
+    64-bit key column, ONE `exchange` of their union co-locates them, and
     a vectorized scan per partition resolves every point with two
     np.searchsorted calls via the BOUNDED-WIDTH trick: with W = the
     partition's max interval width, the candidate intervals for a
@@ -832,8 +747,6 @@ def interval_join(points: ray.data.Dataset, intervals: ray.data.Dataset,
     artifact.  Null keys / ts / bounds never match (SQL comparison
     semantics): they are dropped before the exchange.
     """
-    P = _asof_parts()
-
     _EMPTY = pa.table({pt_id_col: pa.array([], pa.int64()),
                        ivl_id_col: pa.array([], pa.int64())})
 
@@ -841,10 +754,8 @@ def interval_join(points: ray.data.Dataset, intervals: ray.data.Dataset,
         keep = pc.and_(batch.column(key).combine_chunks().is_valid(),
                        batch.column(ts_col).combine_chunks().is_valid())
         batch = batch.filter(keep)
-        k = _seg_keys(batch.column(key))
         return pa.table({
-            "_part": pa.array(_key_parts(k, P)),
-            "k": pa.array(k),
+            "k": pa.array(_seg_keys(batch.column(key))),
             "a": pc.cast(batch.column(ts_col), pa.int64()),
             "b": pa.array(np.zeros(batch.num_rows, np.int64)),
             "rid": pc.cast(batch.column(pt_id_col), pa.int64()),
@@ -856,10 +767,8 @@ def interval_join(points: ray.data.Dataset, intervals: ray.data.Dataset,
                     batch.column(lo_col).combine_chunks().is_valid()),
             batch.column(hi_col).combine_chunks().is_valid())
         batch = batch.filter(keep)
-        k = _seg_keys(batch.column(key))
         return pa.table({
-            "_part": pa.array(_key_parts(k, P)),
-            "k": pa.array(k),
+            "k": pa.array(_seg_keys(batch.column(key))),
             "a": pc.cast(batch.column(lo_col), pa.int64()),
             "b": pc.cast(batch.column(hi_col), pa.int64()),
             "rid": pc.cast(batch.column(ivl_id_col), pa.int64()),
@@ -872,8 +781,6 @@ def interval_join(points: ray.data.Dataset, intervals: ray.data.Dataset,
         ivl_rows, batch_format="pyarrow", zero_copy_batch=True)
 
     def scan(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "side" not in group.schema.names:
-            return _EMPTY
         side = group.column("side").to_numpy(zero_copy_only=False)
         k = group.column("k").to_numpy(zero_copy_only=False)
         a = group.column("a").to_numpy(zero_copy_only=False)
@@ -917,8 +824,7 @@ def interval_join(points: ray.data.Dataset, intervals: ray.data.Dataset,
         return pa.table({pt_id_col: pa.array(pid[rep][keep]),
                          ivl_id_col: pa.array(iid[ivl_idx][keep])})
 
-    return p_rows.union(i_rows).groupby("_part").map_groups(
-        scan, batch_format="pyarrow")
+    return exchange(p_rows.union(i_rows), "k", scan)
 
 
 def sampled_quantiles(ds: ray.data.Dataset, val_col: str,
@@ -981,21 +887,12 @@ def percent_rank_per_key(ds: ray.data.Dataset, key_col: str,
     the float output is bit-identical cross-engine (single-group
     keys emit 0.0, the SQL convention).  Null vals are excluded
     (mirrored by the oracle's WHERE val IS NOT NULL)."""
-    P = _asof_parts()
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(
+    def valid_vals(batch: pa.Table) -> pa.Table:
+        return batch.filter(
             batch.column(val_col).combine_chunks().is_valid())
-        k = _seg_keys(batch.column(key_col))
-        return pa.table({id_col: batch.column(id_col),
-                         key_col: batch.column(key_col),
-                         val_col: batch.column(val_col),
-                         "part": pa.array(_key_parts(k, P))})
 
     def partition_scan(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or id_col not in group.column_names:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "pct_rank": pa.array([], pa.float64())})
         ids = group.column(id_col).combine_chunks()
         k = _seg_keys(group.column(key_col))
         v = group.column(val_col).combine_chunks().to_numpy(
@@ -1018,10 +915,9 @@ def percent_rank_per_key(ds: ray.data.Dataset, key_col: str,
         return pa.table({id_col: ids.take(pa.array(order)),
                          "pct_rank": pa.array(pct)})
 
-    parts = ds.select_columns([id_col, key_col, val_col]).map_batches(
-        add_part, batch_format="pyarrow", zero_copy_batch=True)
-    return parts.groupby("part").map_groups(partition_scan,
-                                            batch_format="pyarrow")
+    rows = ds.select_columns([id_col, key_col, val_col]).map_batches(
+        valid_vals, batch_format="pyarrow", zero_copy_batch=True)
+    return exchange(rows, key_col, partition_scan)
 
 
 def rolling_window_sum(ds: ray.data.Dataset, key: str, ts_col: str,
@@ -1044,9 +940,8 @@ def rolling_window_sum(ds: ray.data.Dataset, key: str, ts_col: str,
     scan per partition (cumsum-difference, seg-start clamped), the
     sliding_counts/percent_rank house pattern.  Null vals dropped
     (mirrored by the oracle's WHERE val IS NOT NULL)."""
-    P = _asof_parts()
 
-    def add_part(batch: pa.Table) -> pa.Table:
+    def seg_rows(batch: pa.Table) -> pa.Table:
         batch = batch.filter(
             batch.column(val_col).combine_chunks().is_valid())
         v = batch.column(val_col).combine_chunks().to_numpy(
@@ -1057,16 +952,9 @@ def rolling_window_sum(ds: ray.data.Dataset, key: str, ts_col: str,
             id_col: batch.column(id_col),
             "_u": pa.array(u),
             "_ts": batch.column(ts_col).combine_chunks().cast(pa.int64()),
-            "_cents": pa.array(cents),
-            "part": pa.array(_key_parts(u, P))})
-
-    empty = pa.schema([(id_col, pa.int64()),
-                       ("roll_sum", pa.int64()),
-                       ("roll_mean", pa.float64())])
+            "_cents": pa.array(cents)})
 
     def partition_scan(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or id_col not in group.column_names:
-            return empty.empty_table()
         ids = group.column(id_col).combine_chunks().to_numpy(
             zero_copy_only=False)
         u = group.column("_u").combine_chunks().to_numpy(
@@ -1093,9 +981,8 @@ def rolling_window_sum(ds: ray.data.Dataset, key: str, ts_col: str,
                                   cnt.astype(np.float64))})
 
     parts = ds.select_columns([id_col, key, ts_col, val_col]).map_batches(
-        add_part, batch_format="pyarrow", zero_copy_batch=True)
-    return parts.groupby("part").map_groups(partition_scan,
-                                            batch_format="pyarrow")
+        seg_rows, batch_format="pyarrow", zero_copy_batch=True)
+    return exchange(parts, "_u", partition_scan)
 
 
 def value_deltas(ds: ray.data.Dataset, key: str, ts_col: str,
@@ -1110,9 +997,8 @@ def value_deltas(ds: ray.data.Dataset, key: str, ts_col: str,
     exchange on the key + one lexsort + shifted-difference scan per
     partition — the rolling_window_sum pattern with a diff kernel.
     Null vals dropped (mirrored by the oracle's IS NOT NULL)."""
-    P = _asof_parts()
 
-    def add_part(batch: pa.Table) -> pa.Table:
+    def seg_rows(batch: pa.Table) -> pa.Table:
         batch = batch.filter(
             batch.column(val_col).combine_chunks().is_valid())
         v = batch.column(val_col).combine_chunks().to_numpy(
@@ -1122,14 +1008,9 @@ def value_deltas(ds: ray.data.Dataset, key: str, ts_col: str,
             id_col: batch.column(id_col),
             "_u": pa.array(u),
             "_ts": batch.column(ts_col).combine_chunks().cast(pa.int64()),
-            "_cents": pa.array(np.floor(v * 100.0).astype(np.int64)),
-            "part": pa.array(_key_parts(u, P))})
-
-    empty = pa.schema([(id_col, pa.int64()), ("delta_cents", pa.int64())])
+            "_cents": pa.array(np.floor(v * 100.0).astype(np.int64))})
 
     def partition_scan(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or id_col not in group.column_names:
-            return empty.empty_table()
         ids = group.column(id_col).combine_chunks().to_numpy(
             zero_copy_only=False)
         u = group.column("_u").combine_chunks().to_numpy(
@@ -1149,9 +1030,8 @@ def value_deltas(ds: ray.data.Dataset, key: str, ts_col: str,
             "delta_cents": pa.array(delta, type=pa.int64(), mask=first)})
 
     parts = ds.select_columns([id_col, key, ts_col, val_col]).map_batches(
-        add_part, batch_format="pyarrow", zero_copy_batch=True)
-    return parts.groupby("part").map_groups(partition_scan,
-                                            batch_format="pyarrow")
+        seg_rows, batch_format="pyarrow", zero_copy_batch=True)
+    return exchange(parts, "_u", partition_scan)
 
 
 def detect_hot_keys(ds: ray.data.Dataset, key: str,
@@ -1215,8 +1095,8 @@ def skew_join_rows(left: ray.data.Dataset, right: ray.data.Dataset,
                    and broadcast once (ray.put); right rows join
                    map-side inside map_batches with NO shuffle, so a
                    hot key's rows stay spread across all input blocks.
-      cold keys -> the standard union co-partition exchange keyed
-                   hash(key) % P with a vectorized expansion scan per
+      cold keys -> the standard union co-partition `exchange` on
+                   the key with a vectorized expansion scan per
                    partition (the order_lines kernel).
 
     Assumptions (documented per the SURVEY custom-operator rule): the
@@ -1237,8 +1117,6 @@ def skew_join_rows(left: ray.data.Dataset, right: ray.data.Dataset,
     re-reads are the cheaper side of that trade.  Callers joining a
     derived (non-parquet-read) right side should materialize its
     narrow projection first."""
-    from ..functions.parts import hash_parts, key_parts
-
     if hot_keys is None:
         hot_keys = detect_hot_keys(right, key_r, hot_min_rows=hot_min_rows)
     hot_keys = np.asarray(hot_keys, dtype=np.int64)
@@ -1306,8 +1184,6 @@ def skew_join_rows(left: ray.data.Dataset, right: ray.data.Dataset,
         return pa.table(cols).cast(out_schema)
 
     # ---- cold branch: union co-partition expansion join ------------
-    P = hash_parts()
-
     def left_rows(batch: pa.Table) -> pa.Table:
         batch = _valid_keys(batch, key_l)
         u = _seg_keys(batch.column(key_l))
@@ -1316,7 +1192,7 @@ def skew_join_rows(left: ray.data.Dataset, right: ray.data.Dataset,
                              hot_keys.size - 1)
             cold = hot_keys[pos] != u
             batch, u = batch.filter(pa.array(cold)), u[cold]
-        cols = {"_part": pa.array(key_parts(u, P)), "_u": pa.array(u),
+        cols = {"_u": pa.array(u),
                 "_side": pa.array(np.zeros(len(u), np.int8)),
                 key_l: batch.column(key_l)}
         for c in carry_l:
@@ -1333,7 +1209,7 @@ def skew_join_rows(left: ray.data.Dataset, right: ray.data.Dataset,
                              hot_keys.size - 1)
             cold = hot_keys[pos] != u
             batch, u = batch.filter(pa.array(cold)), u[cold]
-        cols = {"_part": pa.array(key_parts(u, P)), "_u": pa.array(u),
+        cols = {"_u": pa.array(u),
                 "_side": pa.array(np.ones(len(u), np.int8)),
                 key_l: pa.nulls(len(u), key_type)}
         for c in carry_l:
@@ -1343,8 +1219,6 @@ def skew_join_rows(left: ray.data.Dataset, right: ray.data.Dataset,
         return pa.table(cols)
 
     def join_scan(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "_side" not in group.column_names:
-            return out_schema.empty_table()
         side = group.column("_side").to_numpy(zero_copy_only=False)
         u = group.column("_u").to_numpy(zero_copy_only=False)
         lmask = side == 0
@@ -1379,8 +1253,7 @@ def skew_join_rows(left: ray.data.Dataset, right: ray.data.Dataset,
                              zero_copy_batch=True)
     rcold = right.map_batches(right_rows, batch_format="pyarrow",
                               zero_copy_batch=True)
-    cold = lcold.union(rcold).groupby("_part").map_groups(
-        join_scan, batch_format="pyarrow")
+    cold = exchange(lcold.union(rcold), "_u", join_scan)
     if hot_side is None:
         return cold
     hot = right.map_batches(right_hot_join, batch_format="pyarrow",
@@ -1408,9 +1281,8 @@ def grouped_ewma(ds: ray.data.Dataset, key: str, ts_col: str,
     per-key times (bounded, ~100 here), each step updating EVERY key's
     rank-k event at once; never a per-row python loop.  NULL key / ts
     / value rows are dropped (mirrored by the oracle)."""
-    P = _asof_parts()
 
-    def add_part(batch: pa.Table) -> pa.Table:
+    def seg_rows(batch: pa.Table) -> pa.Table:
         keep = pc.and_(pc.and_(
             batch.column(val_col).combine_chunks().is_valid(),
             batch.column(key).combine_chunks().is_valid()),
@@ -1423,14 +1295,9 @@ def grouped_ewma(ds: ray.data.Dataset, key: str, ts_col: str,
             id_col: batch.column(id_col),
             "_u": pa.array(u),
             "_ts": batch.column(ts_col).combine_chunks().cast(pa.int64()),
-            "_cents": pa.array(np.floor(v * 100.0).astype(np.int64)),
-            "_part": pa.array(_key_parts(u, P))})
-
-    empty = pa.schema([(id_col, pa.int64()), ("ewma_cents", pa.int64())])
+            "_cents": pa.array(np.floor(v * 100.0).astype(np.int64))})
 
     def partition_scan(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or id_col not in group.column_names:
-            return empty.empty_table()
         ids = group.column(id_col).combine_chunks().to_numpy(
             zero_copy_only=False)
         u = group.column("_u").combine_chunks().to_numpy(
@@ -1453,9 +1320,8 @@ def grouped_ewma(ds: ray.data.Dataset, key: str, ts_col: str,
                          "ewma_cents": pa.array(y, pa.int64())})
 
     parts = ds.select_columns([id_col, key, ts_col, val_col]).map_batches(
-        add_part, batch_format="pyarrow", zero_copy_batch=True)
-    return parts.groupby("_part").map_groups(partition_scan,
-                                             batch_format="pyarrow")
+        seg_rows, batch_format="pyarrow", zero_copy_batch=True)
+    return exchange(parts, "_u", partition_scan)
 
 
 def sliding_distinct(ds: ray.data.Dataset, key: str, ts_col: str,
@@ -1521,9 +1387,8 @@ def mad_outliers(ds: ray.data.Dataset, key: str, val_col: str,
     partition scan with two segment lexsorts — a composition that
     would cost a naive plan two grouped aggregates plus two rejoins.
     NULL key/value rows are dropped (SQL aggregate semantics)."""
-    P = _asof_parts()
 
-    def add_part(batch: pa.Table) -> pa.Table:
+    def seg_rows(batch: pa.Table) -> pa.Table:
         keep = pc.and_(
             batch.column(val_col).combine_chunks().is_valid(),
             batch.column(key).combine_chunks().is_valid())
@@ -1534,10 +1399,8 @@ def mad_outliers(ds: ray.data.Dataset, key: str, val_col: str,
         return pa.table({
             id_col: batch.column(id_col),
             "_u": pa.array(u),
-            "_cents": pa.array(np.floor(v * 100.0).astype(np.int64)),
-            "_part": pa.array(_key_parts(u, P))})
+            "_cents": pa.array(np.floor(v * 100.0).astype(np.int64))})
 
-    empty = pa.schema([(id_col, pa.int64()), ("is_outlier", pa.int64())])
 
     def _disc_per_segment(sorted_vals: np.ndarray, starts: np.ndarray,
                           lens: np.ndarray) -> np.ndarray:
@@ -1546,8 +1409,6 @@ def mad_outliers(ds: ray.data.Dataset, key: str, val_col: str,
         return sorted_vals[starts + rank]
 
     def partition_scan(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or id_col not in group.column_names:
-            return empty.empty_table()
         ids = group.column(id_col).combine_chunks().to_numpy(
             zero_copy_only=False)
         u = group.column("_u").combine_chunks().to_numpy(
@@ -1579,9 +1440,8 @@ def mad_outliers(ds: ray.data.Dataset, key: str, val_col: str,
                          "is_outlier": pa.array(flag, pa.int64())})
 
     parts = ds.select_columns([id_col, key, val_col]).map_batches(
-        add_part, batch_format="pyarrow", zero_copy_batch=True)
-    return parts.groupby("_part").map_groups(partition_scan,
-                                             batch_format="pyarrow")
+        seg_rows, batch_format="pyarrow", zero_copy_batch=True)
+    return exchange(parts, "_u", partition_scan)
 
 
 def drift_terms(ds: ray.data.Dataset, key: str, ts_col: str,
@@ -1601,7 +1461,8 @@ def drift_terms(ds: ray.data.Dataset, key: str, ts_col: str,
     exchange volume is keys x 2 x bins x blocks, never rows — then one
     tiny hash exchange on the key; totals and terms compute inside the
     partition scan.  Keys missing either half are dropped (no
-    reference distribution to compare against)."""
+    reference distribution to compare against).  Output row order is
+    unspecified (it follows the exchange's partitions)."""
     cut_us = int(np.datetime64(cut_iso, "us").astype(np.int64))
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -1625,22 +1486,9 @@ def drift_terms(ds: ray.data.Dataset, key: str, ts_col: str,
         return agg.rename_columns(
             ["n" if c == "count_all" else c for c in agg.column_names])
 
-    def _empty(key_type: pa.DataType) -> pa.Table:
-        return pa.schema([(key, key_type), ("bin", pa.int64()),
-                          ("p_early", pa.float64()),
-                          ("p_late", pa.float64()),
-                          ("drift_term", pa.float64())]).empty_table()
-
     def scan(group: pa.Table) -> pa.Table:
-        # empty schema keyed by the group's ACTUAL key type (a string
-        # default would produce mixed block schemas for int keys)
-        key_type = (group.schema.field(key).type
-                    if key in group.schema.names else pa.string())
-        empty = _empty(key_type)
-        t = (group.drop_columns(["_part"])
-             .group_by([key, "late", "bin"]).aggregate([("n", "sum")]))
-        if t.num_rows == 0:
-            return empty
+        key_type = group.schema.field(key).type
+        t = group.group_by([key, "late", "bin"]).aggregate([("n", "sum")])
         # fully vectorized segment math (round-4 verdict item: the
         # last pandas per-key loop in this file) — dictionary-encode
         # the key, segment rows by (key, bin), scatter-add the two
@@ -1676,8 +1524,6 @@ def drift_terms(ds: ray.data.Dataset, key: str, ts_col: str,
         # keys missing either half are dropped (no reference
         # distribution to drift against)
         keep = (tot[seg_k, 0] > 0) & (tot[seg_k, 1] > 0)
-        if not keep.any():
-            return empty
         seg_k, seg_bin, ne, nl = seg_k[keep], seg_bin[keep], ne[keep], \
             nl[keep]
         p = ne / tot[seg_k, 0].astype(np.float64)
@@ -1691,15 +1537,9 @@ def drift_terms(ds: ray.data.Dataset, key: str, ts_col: str,
             "p_early": pa.array(p), "p_late": pa.array(q),
             "drift_term": pa.array(term)})
 
-    from ..stages.aggregate import add_part_column
-    parts = (ds.select_columns([key, ts_col, val_col])
-             .map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-             .map_batches(add_part_column, batch_format="pyarrow",
-                          fn_kwargs={"key": key,
-                                     "n_parts": _asof_parts()}))
-    return parts.groupby("_part").map_groups(scan,
-                                             batch_format="pyarrow")
+    partials = ds.select_columns([key, ts_col, val_col]).map_batches(
+        partial, batch_format="pyarrow", zero_copy_batch=True)
+    return exchange(partials, key, scan)
 
 
 def semi_join(left: ray.data.Dataset, right: ray.data.Dataset,
@@ -1712,13 +1552,11 @@ def semi_join(left: ray.data.Dataset, right: ray.data.Dataset,
     anti_join_keys).
 
     Scale shape (both sides large): union co-partition — ONE
-    sort-exchange keyed hash(key) % P; the right side collapses to
+    `exchange` on the int64 key; the right side collapses to
     unique keys per block BEFORE the exchange (a membership probe
     needs each key once), left rows ride with their carry columns, and
     a vectorized searchsorted scan per partition keeps the hits.
     NULL left keys never match (SQL EXISTS semantics)."""
-    P = _asof_parts()
-
     lt = left.schema()
     l_types = {n: t for n, t in zip(lt.names, lt.types)}
     out_schema = pa.schema([(left_key, l_types[left_key])]
@@ -1730,7 +1568,7 @@ def semi_join(left: ray.data.Dataset, right: ray.data.Dataset,
             batch = batch.filter(col.is_valid())
             col = batch.column(left_key).combine_chunks()
         k = pc.cast(col, pa.int64()).to_numpy(zero_copy_only=False)
-        cols = {"_part": pa.array(_key_parts(k, P)), "_k": pa.array(k),
+        cols = {"_k": pa.array(k),
                 "_side": pa.array(np.zeros(len(k), np.int8)),
                 left_key: batch.column(left_key)}
         for c in carry_l:
@@ -1741,7 +1579,7 @@ def semi_join(left: ray.data.Dataset, right: ray.data.Dataset,
         col = batch.column(right_key).combine_chunks()
         k = np.unique(pc.cast(col, pa.int64()).drop_null().to_numpy(
             zero_copy_only=False))
-        cols = {"_part": pa.array(_key_parts(k, P)), "_k": pa.array(k),
+        cols = {"_k": pa.array(k),
                 "_side": pa.array(np.ones(len(k), np.int8)),
                 left_key: pa.nulls(len(k), l_types[left_key])}
         for c in carry_l:
@@ -1749,8 +1587,6 @@ def semi_join(left: ray.data.Dataset, right: ray.data.Dataset,
         return pa.table(cols)
 
     def scan(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "_side" not in group.schema.names:
-            return out_schema.empty_table()
         side = group.column("_side").to_numpy(zero_copy_only=False)
         k = group.column("_k").to_numpy(zero_copy_only=False)
         lmask = side == 0
@@ -1767,5 +1603,4 @@ def semi_join(left: ray.data.Dataset, right: ray.data.Dataset,
         l_rows, batch_format="pyarrow", zero_copy_batch=True)
     rr = right.select_columns([right_key]).map_batches(
         r_rows, batch_format="pyarrow", zero_copy_batch=True)
-    return lr.union(rr).groupby("_part").map_groups(
-        scan, batch_format="pyarrow")
+    return exchange(lr.union(rr), "_k", scan)

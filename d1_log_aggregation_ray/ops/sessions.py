@@ -2,8 +2,8 @@
 cousin of the W1 repeat-visit window (same groupby-then-scan shape, but
 expressible with a plain lag/cumsum, so it gets a SQL oracle).
 
-Scale shape: one python call per HASH PARTITION of users (manual
-`part = user_hash % P` + groupby(part).map_groups), not one per user —
+Scale shape: one python call per HASH PARTITION of users (one
+`exchange` on the user column), not one per user —
 inside a partition every user's session count falls out of ONE
 vectorized lexsort + diff over (user, ts) (a session boundary is a
 row whose gap from the previous row exceeds gap_s OR whose user
@@ -20,8 +20,8 @@ import ray
 import ray.data
 
 
-from ..functions.parts import hash_parts as _parts
-from ..functions.parts import key_parts as _key_parts
+from ..functions.parts import exchange
+from .relational import _seg_keys
 
 
 def sessionize(ds: ray.data.Dataset, gap_s: int = 1800,
@@ -31,36 +31,23 @@ def sessionize(ds: ray.data.Dataset, gap_s: int = 1800,
     the previous event exceeds gap_s.  Ties broken by event_id (total
     order, matching the SQL oracle's ORDER BY ts, event_id).
 
-    Key-type generic: users are partitioned/segmented via the 64-bit
+    Key-type generic: users are segmented via the 64-bit
     _seg_keys hash (int identity, md5-low64 for strings — the same
     documented 2^-64 merge risk as topk_per_key), and the OUTPUT key
     column carries the original values (first row of each segment),
     never the hash encoding."""
     gap_us = gap_s * 1_000_000
-    P = _parts()
 
-    def add_part(batch: pa.Table) -> pa.Table:
+    def valid_ts(batch: pa.Table) -> pa.Table:
         # null-ts events carry no ordering information: excluded here
         # AND in the SQL oracle (WHERE ts IS NOT NULL).  Null USERS are
         # kept as one sentinel-keyed group (SQL GROUP BY emits a NULL
-        # group) — the seg-key hash also keeps non-null keys' partition
-        # independent of whether the batch contains nulls.
-        from .relational import _seg_keys
-        batch = batch.filter(batch.column(ts_col).combine_chunks().is_valid())
-        u = _seg_keys(batch.column(user_col))
-        return pa.table({user_col: batch.column(user_col),
-                         "event_id": batch.column("event_id"),
-                         ts_col: batch.column(ts_col),
-                         "part": pa.array(_key_parts(u, P))})
+        # group).
+        return batch.filter(batch.column(ts_col).combine_chunks().is_valid())
 
     def partition_scan(group: pa.Table) -> pa.Table:
-        from .relational import _seg_keys
         n = group.num_rows
         users = group.column(user_col).combine_chunks()
-        if n == 0:
-            return pa.table({user_col: users,
-                             "n_events": pa.array([], pa.int64()),
-                             "n_sessions": pa.array([], pa.int64())})
         u = _seg_keys(users)
         ts = group.column(ts_col).combine_chunks().cast(pa.int64()).to_numpy(
             zero_copy_only=False)
@@ -80,7 +67,6 @@ def sessionize(ds: ray.data.Dataset, gap_s: int = 1800,
                          "n_sessions": pa.array(
                              sess_per_user.astype(np.int64))})
 
-    parts = ds.map_batches(add_part, batch_format="pyarrow",
-                           zero_copy_batch=True)
-    return parts.groupby("part").map_groups(partition_scan,
-                                            batch_format="pyarrow")
+    rows = ds.select_columns([user_col, "event_id", ts_col]).map_batches(
+        valid_ts, batch_format="pyarrow", zero_copy_batch=True)
+    return exchange(rows, user_col, partition_scan)

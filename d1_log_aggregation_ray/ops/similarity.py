@@ -485,20 +485,18 @@ def knn_join(ds: ray.data.Dataset, k: int = 5, n_planes: int | None = None,
     Reference analog: none (the reference has no similarity ops) —
     this is the LLM-data-pipeline family; the bucket-scan shape
     follows ops/dedup.py::embedding_cosine_dedup."""
-    from ..functions.parts import hash_parts
-    P = hash_parts()
+    from ..functions.parts import exchange
     if n_planes is None:
         n_planes = knn_planes_for(ds.count(), target_bucket_rows)
     out_schema = pa.schema([(id_col, pa.int64()),
                             ("neighbor_id", pa.int64()),
                             ("nn_rank", pa.int64())])
 
-    def sig_part(batch: pa.Table) -> pa.Table:
+    def sig_rows(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
             return pa.table({id_col: pa.array([], pa.int64()),
                              "sig": pa.array([], pa.int64()),
-                             vec_col: batch.column(vec_col),
-                             "part": pa.array([], pa.int64())})
+                             vec_col: batch.column(vec_col)})
         m = _as_matrix(batch, vec_col)
         pl = lsh_planes(n_planes, m.shape[1])
         sig = (((m @ pl.T) > 0).astype(np.int64)
@@ -507,7 +505,6 @@ def knn_join(ds: ray.data.Dataset, k: int = 5, n_planes: int | None = None,
             id_col: batch.column(id_col).cast(pa.int64()),
             "sig": pa.array(sig),
             vec_col: batch.column(vec_col),
-            "part": pa.array(sig % np.int64(P)),
         })
 
     def _merge_topk(ms: np.ndarray, mi: np.ndarray, kk: int):
@@ -521,8 +518,6 @@ def knn_join(ds: ray.data.Dataset, k: int = 5, n_planes: int | None = None,
         return ms.ravel()[pick], mi.ravel()[pick]
 
     def partition_scan(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or id_col not in group.column_names:
-            return out_schema.empty_table()
         ids = group.column(id_col).to_numpy()
         sig = group.column("sig").to_numpy()
         m = _as_matrix(group, vec_col)
@@ -573,7 +568,6 @@ def knn_join(ds: ray.data.Dataset, k: int = 5, n_planes: int | None = None,
                          "neighbor_id": pa.array(np.concatenate(out_nb)),
                          "nn_rank": pa.array(np.concatenate(out_rk))})
 
-    parts = ds.map_batches(sig_part, batch_format="pyarrow",
-                           zero_copy_batch=True)
-    return parts.groupby("part").map_groups(partition_scan,
-                                            batch_format="pyarrow")
+    return exchange(ds.map_batches(sig_rows, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                    "sig", partition_scan)

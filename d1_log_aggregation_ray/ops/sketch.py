@@ -297,11 +297,5 @@ def approx_distinct(ds: ray.data.Dataset, key: str, distinct_col: str,
 
     # hash-partition by key (corpus-cardinality keys; merge_group
     # handles every key of a partition in one vectorized pass)
-    from ..stages.aggregate import add_part_column
-    from ..functions.parts import hash_parts
-    parts = sketches.map_batches(
-        add_part_column, batch_format="pyarrow",
-        fn_kwargs={"key": key, "n_parts": hash_parts()})
-    return parts.groupby("_part").map_groups(
-        lambda g: merge_group(g.drop_columns(["_part"])),
-        batch_format="pyarrow")
+    from ..functions.parts import exchange
+    return exchange(sketches, key, merge_group)

@@ -301,12 +301,8 @@ def distinctive_terms(ds, id_col: str = "doc_id",
     all-pairs.  (A Dataset.join on term was the first cut; the
     exchange volume is identical and the join's build side chokes on
     Ray's schema-less empty sort partitions, so two scans it is.)"""
-    import ray.data  # noqa: F401  (Dataset ops below)
-    from ..functions.hashing import md5_lower64_array
-    from ..functions.parts import hash_parts
-    from ..stages.aggregate import add_part_column
+    from ..functions.parts import exchange
 
-    P = hash_parts()
     narrow = ds.select_columns([id_col, text_col])
     narrow = narrow.map_batches(
         lambda t: t.filter(t.column(text_col).is_valid()),
@@ -316,8 +312,7 @@ def distinctive_terms(ds, id_col: str = "doc_id",
         if batch.num_rows == 0:
             return pa.table({id_col: pa.array([], pa.int64()),
                              "token": pa.array([], pa.string()),
-                             "tf": pa.array([], pa.int64()),
-                             "_part": pa.array([], pa.int64())})
+                             "tf": pa.array([], pa.int64())})
         text = batch.column(text_col).combine_chunks()
         toks = pc.split_pattern(text, " ")
         flat = pc.list_flatten(toks)
@@ -326,12 +321,9 @@ def distinctive_terms(ds, id_col: str = "doc_id",
             batch.column(id_col).to_numpy(zero_copy_only=False), lens)
         agg = pa.table({"token": flat, id_col: pa.array(ids)}).group_by(
             ["token", id_col]).aggregate([([], "count_all")])
-        part = (md5_lower64_array(agg.column("token").combine_chunks())
-                % np.uint64(P)).astype(np.int64)
         return pa.table({id_col: pc.cast(agg.column(id_col), pa.int64()),
                          "token": agg.column("token"),
-                         "tf": pc.cast(agg.column("count_all"), pa.int64()),
-                         "_part": pa.array(part)})
+                         "tf": pc.cast(agg.column("count_all"), pa.int64())})
 
     tf_ds = narrow.map_batches(tf_rows, batch_format="pyarrow",
                                zero_copy_batch=True)
@@ -353,7 +345,7 @@ def distinctive_terms(ds, id_col: str = "doc_id",
         pairs, so the term's row count IS its global df.  Attach df,
         then keep only the per-doc top-k candidates this partition can
         contribute."""
-        t = group.drop_columns(["_part"]).sort_by([("token", "ascending")])
+        t = group.sort_by([("token", "ascending")])
         tok = t.column("token")
         # run lengths via the dictionary trick: first occurrence marks
         enc = tok.combine_chunks().dictionary_encode()
@@ -361,22 +353,17 @@ def distinctive_terms(ds, id_col: str = "doc_id",
         starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
         runs = np.diff(np.r_[starts, len(codes)])
         t = t.append_column("df", pa.array(np.repeat(runs, runs)))
-        kept, _ = _keep_topk(t)
-        return add_part_column(kept, id_col, P, "_part")
-
-    local = tf_ds.groupby("_part").map_groups(term_scan,
-                                              batch_format="pyarrow")
+        return _keep_topk(t)[0]
 
     def doc_scan(group: pa.Table) -> pa.Table:
-        kept, rank = _keep_topk(group.drop_columns(["_part"]))
+        kept, rank = _keep_topk(group)
         return pa.table({id_col: kept.column(id_col),
                          "term": kept.column("token"),
                          "df": kept.column("df"),
                          "tf": kept.column("tf"),
                          "rank": pa.array(rank + 1, pa.int64())})
 
-    return local.groupby("_part").map_groups(doc_scan,
-                                             batch_format="pyarrow")
+    return exchange(exchange(tf_ds, "token", term_scan), id_col, doc_scan)
 
 
 def vocab_df_partial(batch: pa.Table, id_col: str = "doc_id",

@@ -24,8 +24,10 @@ import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from ..config import DEFAULT_CONFIG, BUCKET_TASK_CPUS
+from ..functions.parts import arrow_block_refs, exchange
 from ..gen.fixtures import generate_fixtures
 from ..sources.readers import read_transcripts, load_side_tables
+from ..stages.aggregate import hash_partition_aggregate
 from ..stages.project import clean_project
 from ..stages.parse import regex_flags
 from ..ops.dedup import (minhash_lsh_dedup, simhash_dedup,
@@ -108,7 +110,6 @@ def q_enrich_meta(sf_dir: str):
 def q_geo_enrich(sf_dir: str):
     """J4: per-conv synthetic geo (the SQL-expressible columns).
     DISTINCT conv via the hash-partition aggregate (conv cardinality)."""
-    from ..stages.aggregate import hash_partition_aggregate
     ds = hash_partition_aggregate(
         _clean(sf_dir).select_columns(["conv_id"]), ["conv_id"], [])
 
@@ -257,7 +258,6 @@ def q_dedup_exact(sf_dir: str):
     fingerprints are corpus-cardinality and Ray's native per-group
     reduce would crawl (stages/aggregate.py)."""
     from ..functions.hashing import md5_bytes_array
-    from ..stages.aggregate import hash_partition_aggregate
     ds = _docs(sf_dir).select_columns(["doc_id", "text"])
 
     def fp(batch: pa.Table) -> pa.Table:
@@ -448,7 +448,6 @@ def q_vocab_df(sf_dir: str):
     hash-partition aggregate (vocab is corpus-cardinality at design
     scale — millions of tokens at 100 TB)."""
     from ..ops.text import vocab_df_partial
-    from ..stages.aggregate import hash_partition_aggregate
     ds = _docs(sf_dir).select_columns(["doc_id", "text"])
     ds = ds.map_batches(lambda t: t.filter(t.column("text").is_valid()),
                         batch_format="pyarrow", zero_copy_batch=True)
@@ -1073,8 +1072,8 @@ _TOPORD_SEG, _TOPORD_CUT = "BUILDING", "1998-01-01"
 def q_top_orders(sf_dir: str):
     """Large x large relational pipeline (TPC-H Q3 analog): customer
     segment broadcast semi-join -> lineitem combiner pre-aggregation ->
-    union co-partition hash join (both sides tagged with the SAME
-    _part = hash(o_orderkey) % P, ONE sort-exchange co-locates them,
+    union co-partition hash join (both sides keyed by o_orderkey in
+    the same column, ONE `exchange` of their union co-locates them,
     a vectorized searchsorted scan joins AND finishes the revenue
     aggregate in the same pass) -> driver merge of per-partition
     top-10 partials.  Replaces Ray's native JoinOperator, which cost
@@ -1084,7 +1083,6 @@ def q_top_orders(sf_dir: str):
     partition makes the scan's group sums final (no re-merge).
     Revenue is integer-exact (cents x discount-complement-percent) so
     the value hash matches DuckDB regardless of sum order."""
-    from ..functions.parts import hash_parts, key_parts
     from ..ops.relational import global_topk
     cut = np.datetime64(_TOPORD_CUT)
     ct = pq.read_table(os.path.join(sf_dir, "customer.parquet"),
@@ -1093,7 +1091,6 @@ def q_top_orders(sf_dir: str):
     cust_ref = ray.put(np.sort(
         keep.column("c_custkey").to_numpy(zero_copy_only=False)))
 
-    P = hash_parts()
 
     def filter_orders(batch: pa.Table, *, cust) -> pa.Table:
         ck = ray.get(cust) if isinstance(cust, ray.ObjectRef) else cust
@@ -1107,7 +1104,6 @@ def q_top_orders(sf_dir: str):
         ok = batch.column("o_orderkey").to_numpy(zero_copy_only=False)[hit]
         dt = od.cast(pa.int64()).to_numpy(zero_copy_only=False)[hit]
         return pa.table({
-            "_part": pa.array(key_parts(ok, P)),
             "k": pa.array(ok),
             "d": pa.array(dt),
             "rev": pa.array(np.zeros(len(ok), np.int64)),
@@ -1137,7 +1133,6 @@ def q_top_orders(sf_dir: str):
         rv = (np.add.reduceat(r_s, starts) if len(starts)
               else np.array([], dtype=np.int64))
         return pa.table({
-            "_part": pa.array(key_parts(ku, P)),
             "k": pa.array(ku),
             "d": pa.array(np.zeros(len(ku), np.int64)),
             "rev": pa.array(rv),
@@ -1180,8 +1175,7 @@ def q_top_orders(sf_dir: str):
                 pa.timestamp("us")),
             "revenue_c2": pa.array(rv[hit])})
 
-    per_order = orders.union(items).groupby("_part").map_groups(
-        join_scan, batch_format="pyarrow")
+    per_order = exchange(orders.union(items), "k", join_scan)
     return global_topk(per_order, "revenue_c2", 10, "o_orderkey")
 
 
@@ -1242,14 +1236,11 @@ def q_big_orders(sf_dir: str):
     scan for the attribute attach (no third shuffle).  sum_qty is
     integer-exact (quantities are integral; rint-cast before the
     sum), so the value hash matches DuckDB regardless of order."""
-    from ..functions.parts import hash_parts, key_parts
-    P = hash_parts()
 
     def ord_rows(batch: pa.Table) -> pa.Table:
         ok = batch.column("o_orderkey").to_numpy(zero_copy_only=False)
         ck = batch.column("o_custkey").to_numpy(zero_copy_only=False)
         return pa.table({
-            "_part": pa.array(key_parts(ok, P)),
             "k": pa.array(ok), "v": pa.array(ck),
             "side": pa.array(np.zeros(len(ok), np.int8))})
 
@@ -1269,7 +1260,6 @@ def q_big_orders(sf_dir: str):
         qv = (np.add.reduceat(q_s, starts) if len(starts)
               else np.array([], dtype=np.int64))
         return pa.table({
-            "_part": pa.array(key_parts(ku, P)),
             "k": pa.array(ku), "v": pa.array(qv),
             "side": pa.array(np.ones(len(ku), np.int8))})
 
@@ -1309,8 +1299,7 @@ def q_big_orders(sf_dir: str):
             "o_custkey": pa.array(oc[pos[hit]]),
             "sum_qty": pa.array(qv[hit])})
 
-    surv = orders.union(items).groupby("_part").map_groups(
-        join_scan, batch_format="pyarrow").take_all()
+    surv = exchange(orders.union(items), "k", join_scan).take_all()
     # bounded by the HAVING threshold by construction -> broadcast
     surv.sort(key=lambda r: (r["o_custkey"], r["o_orderkey"]))
     s_ck = np.array([r["o_custkey"] for r in surv], dtype=np.int64)
@@ -1364,7 +1353,6 @@ def q_pricing_summary(sf_dir: str):
     decimal128(38) so corpus-scale group totals never wrap (DuckDB
     itself sums to HUGEINT); only the final int64 output cast narrows,
     which a 100 TB deployment would widen to decimal output."""
-    from ..stages.aggregate import hash_partition_aggregate
     cut = np.datetime64(_PSUM_CUT).astype("datetime64[us]").astype(np.int64)
     sums = ["sum_qty", "sum_base_c", "sum_disc_c2", "sum_charge_c4",
             "sum_disc_pct"]
@@ -1457,7 +1445,6 @@ def q_regional_revenue(sf_dir: str):
     equality, and collapses to per-nation partials IN the same pass,
     so only (nationkey, revenue) rows — bounded by nation cardinality —
     leave stage one.  Revenue is integer cents x pct, hash-exact."""
-    from ..functions.parts import hash_parts, key_parts
     nat = pq.read_table(os.path.join(sf_dir, "nation.parquet"))
     reg = pq.read_table(os.path.join(sf_dir, "region.parquet"))
     rk = reg.filter(pc.equal(reg.column("r_name"), _RREV_REGION)) \
@@ -1482,7 +1469,6 @@ def q_regional_revenue(sf_dir: str):
     cust_ref = _dim("customer", "c_custkey", "c_nationkey")
     lo = np.datetime64(_RREV_LO).astype("datetime64[us]").astype(np.int64)
     hi = np.datetime64(_RREV_HI).astype("datetime64[us]").astype(np.int64)
-    P = hash_parts()
 
     def _probe(ref, keys):
         dk, dn = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
@@ -1501,7 +1487,6 @@ def q_regional_revenue(sf_dir: str):
         hit, cn = _probe(cust, ck)
         ok, cn = ok[hit], cn[hit]
         return pa.table({
-            "_part": pa.array(key_parts(ok, P)),
             "k": pa.array(ok), "nat": pa.array(cn),
             "rev": pa.array(np.zeros(len(ok), np.int64)),
             "side": pa.array(np.zeros(len(ok), np.int8))})
@@ -1530,7 +1515,6 @@ def q_regional_revenue(sf_dir: str):
               else np.array([], dtype=np.int64))
         ku, nu = k_s[starts], n_s[starts]
         return pa.table({
-            "_part": pa.array(key_parts(ku, P)),
             "k": pa.array(ku), "nat": pa.array(nu),
             "rev": pa.array(rv),
             "side": pa.array(np.ones(len(ku), np.int8))})
@@ -1570,10 +1554,8 @@ def q_regional_revenue(sf_dir: str):
     # the scan already collapsed each partition to <= |region nations|
     # rows, so the final merge is over a nation-bounded set at ANY
     # corpus size — a driver-side sum, not a second exchange
-    from ..functions.parts import arrow_block_refs
     parts = [t for t in ray.get(arrow_block_refs(
-        orders.union(items).groupby("_part").map_groups(
-            join_scan, batch_format="pyarrow"))) if t.num_rows]
+        exchange(orders.union(items), "k", join_scan))) if t.num_rows]
     if not parts:
         return pa.table({"n_name": pa.array([], pa.string()),
                          "revenue_c2": pa.array([], pa.int64())})
@@ -1645,7 +1627,6 @@ def q_winsorize(sf_dir: str):
     pass.  Both the quantile elements and the surviving values are
     COPIED doubles, never recomputed, so the hash matches DuckDB."""
     from ..ops.relational import grouped_quantiles
-    from ..functions.parts import arrow_block_refs
     bounds = grouped_quantiles(
         _events(sf_dir, ["event_type", "value"]), "event_type", "value",
         [0.05, 0.95], value_type=pa.float64())
@@ -1716,8 +1697,6 @@ def q_event_seq(sf_dir: str):
     time): one hash(key) exchange + one lexsort-and-segment-rank scan
     per partition — the shuffle_shards rank pattern on an ordering
     the data already defines."""
-    from ..functions.parts import hash_parts, key_parts
-    P = hash_parts()
     ds = _events(sf_dir, ["event_id", "user_id", "ts"])
 
     def tag(batch: pa.Table) -> pa.Table:
@@ -1726,16 +1705,12 @@ def q_event_seq(sf_dir: str):
         u = pc.cast(batch.column("user_id"), pa.int64()).to_numpy(
             zero_copy_only=False)
         return pa.table({
-            "_part": pa.array(key_parts(u, P)),
             "u": pa.array(u),
             "event_id": pc.cast(batch.column("event_id"), pa.int64()),
             "t": batch.column("ts").combine_chunks().cast(pa.int64()),
         })
 
     def rank(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "u" not in group.schema.names:
-            return pa.table({"event_id": pa.array([], pa.int64()),
-                             "seq": pa.array([], pa.int64())})
         u = group.column("u").to_numpy(zero_copy_only=False)
         t = group.column("t").to_numpy(zero_copy_only=False)
         e = group.column("event_id").to_numpy(zero_copy_only=False)
@@ -1748,9 +1723,8 @@ def q_event_seq(sf_dir: str):
         return pa.table({"event_id": pa.array(es),
                          "seq": pa.array(seq)})
 
-    return ds.map_batches(tag, batch_format="pyarrow",
-                          zero_copy_batch=True).groupby(
-        "_part").map_groups(rank, batch_format="pyarrow")
+    return exchange(ds.map_batches(tag, batch_format="pyarrow",
+                                   zero_copy_batch=True), "u", rank)
 
 
 def _bucket_scan(sf_dir: str, scan_fn) -> ray.data.Dataset:
@@ -1854,7 +1828,6 @@ def q_tool_transitions(sf_dir: str):
     of tool-vocabulary² partial rows summed by hash partition — the
     combine-before-shuffle house pattern."""
     from ..ops.pairs import tool_transitions_scan
-    from ..stages.aggregate import hash_partition_aggregate
     partials = _bucket_scan(sf_dir, tool_transitions_scan)
     return hash_partition_aggregate(
         partials, ["from_tool", "to_tool"], [("n", "sum")],
@@ -1868,7 +1841,6 @@ def q_tool_trigrams(sf_dir: str):
     cycles (grep→read→grep).  Per-bucket partials + ONE
     tool-vocabulary³-keyed exchange."""
     from ..ops.pairs import tool_trigram_scan
-    from ..stages.aggregate import hash_partition_aggregate
     partials = _bucket_scan(sf_dir, tool_trigram_scan)
     return hash_partition_aggregate(
         partials, ["t1", "t2", "t3"], [("n", "sum")],
@@ -1883,7 +1855,6 @@ def q_tool_paths(sf_dir: str):
     path-keyed exchange of (path, n) rows — path cardinality is the
     workflow vocabulary, far below conv count."""
     from ..ops.pairs import tool_path_scan
-    from ..stages.aggregate import hash_partition_aggregate
     partials = _bucket_scan(sf_dir, tool_path_scan)
     return hash_partition_aggregate(
         partials, ["path"], [("n_convs", "sum")],
@@ -1899,8 +1870,6 @@ def q_assistant_templates(sf_dir: str):
     partition local top-20, 20-row-per-partition driver merge — the
     global_topk shape with a string tiebreak."""
     from ..ops.pairs import assistant_template_scan
-    from ..stages.aggregate import hash_partition_aggregate
-    from ..functions.parts import arrow_block_refs
     partials = _bucket_scan(sf_dir, assistant_template_scan)
     agg = hash_partition_aggregate(
         partials, ["h"], [("n", "sum"), ("text", "min")],
@@ -1938,7 +1907,6 @@ def q_conv_dedup(sf_dir: str):
     hash-partition aggregate — only (16-byte fp, conv_id) pairs cross
     the exchange, never transcript text."""
     from ..ops.pairs import conv_fingerprint_scan
-    from ..stages.aggregate import hash_partition_aggregate
     fps = _bucket_scan(sf_dir, conv_fingerprint_scan)
     return hash_partition_aggregate(
         fps, ["fp"], [("conv_id", "min")],
@@ -1953,13 +1921,9 @@ def q_fork_dedup(sf_dir: str):
     fingerprints (one 32-hex md5 per turn, linear in bytes), then one
     hash exchange of (pfp, depth, n_turns, conv_id) rows — never text —
     and a vectorized survivor scan per fingerprint partition."""
-    from ..functions.parts import hash_parts
     from ..ops.pairs import fork_dedup_partition, prefix_chain_scan
-    P = hash_parts()
-    chains = _bucket_scan(
-        sf_dir, lambda b: prefix_chain_scan(b, P))
-    return chains.groupby("part").map_groups(
-        fork_dedup_partition, batch_format="pyarrow")
+    return exchange(_bucket_scan(sf_dir, prefix_chain_scan), "h64",
+                    fork_dedup_partition)
 
 
 def q_cum_chars(sf_dir: str):
@@ -2028,8 +1992,6 @@ def q_rollup_counts(sf_dir: str):
     subtotals, both NULL on the grand total; real NULL tools are
     folded to '' first (as the oracle does) so markers are
     unambiguous."""
-    from ..functions.parts import arrow_block_refs
-    from ..stages.aggregate import add_part_column, hash_parts
     fx = _fx(sf_dir)
     ds = read_transcripts(fx, columns=["conv_id", "role", "tool"])
 
@@ -2050,10 +2012,7 @@ def q_rollup_counts(sf_dir: str):
                         ("n", pa.int64())]).empty_table()
 
     def scan(group: pa.Table) -> pa.Table:
-        t = (group.drop_columns(["_part"])
-             .group_by(["role", "tool"]).aggregate([("c", "sum")]))
-        if t.num_rows == 0:
-            return _empty
+        t = group.group_by(["role", "tool"]).aggregate([("c", "sum")])
         leaf = pa.table({"role": t.column("role"), "tool": t.column("tool"),
                          "n": pc.cast(t.column("c_sum"), pa.int64())})
         sub = t.group_by(["role"]).aggregate([("c_sum", "sum")])
@@ -2063,13 +2022,8 @@ def q_rollup_counts(sf_dir: str):
             "n": pc.cast(sub.column("c_sum_sum"), pa.int64())})
         return pa.concat_tables([leaf, subt])
 
-    parts = (ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .map_batches(add_part_column, batch_format="pyarrow",
-                          zero_copy_batch=True,
-                          fn_kwargs={"key": "role",
-                                     "n_parts": hash_parts()})
-             .groupby("_part").map_groups(scan, batch_format="pyarrow"))
+    parts = exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                    zero_copy_batch=True), "role", scan)
     blocks = [t for t in ray.get(arrow_block_refs(parts)) if t.num_rows]
     if not blocks:
         return _empty
@@ -2094,7 +2048,6 @@ def q_user_features(sf_dir: str):
     distinct user BEFORE the exchange; one hash(user) exchange of the
     already-narrow partials, summed per partition.  The pivot columns
     are a fixed small vocabulary, so width is bounded."""
-    from ..stages.aggregate import hash_partition_aggregate
     ds = _events(sf_dir, ["user_id", "event_type"])
     names = [f"n_{t}" for t in _PIVOT_TYPES]
 
@@ -2142,8 +2095,6 @@ def q_locf_fill(sf_dir: str):
     np.maximum.accumulate over source indices with a segment-floor
     test for the reset (no per-user python).  Filled values are
     COPIED doubles, so the hash matches DuckDB bit-exactly."""
-    from ..functions.parts import hash_parts, key_parts
-    P = hash_parts()
 
     def tag(batch: pa.Table) -> pa.Table:
         m = pc.and_(batch.column("ts").combine_chunks().is_valid(),
@@ -2154,7 +2105,6 @@ def q_locf_fill(sf_dir: str):
                  .cast(pa.int64()).to_numpy(zero_copy_only=False)
         et = batch.column("event_type").combine_chunks().filter(mask)
         return pa.table({
-            "_part": pa.array(key_parts(u, P)),
             "u": pa.array(u),
             "t": batch.column("ts").combine_chunks().filter(mask)
                       .cast(pa.int64()),
@@ -2171,8 +2121,6 @@ def q_locf_fill(sf_dir: str):
                         ("last_purchase", pa.float64())])
 
     def scan(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "u" not in group.schema.names:
-            return _empty.empty_table()
         u = group.column("u").to_numpy(zero_copy_only=False)
         t = group.column("t").to_numpy(zero_copy_only=False)
         e = group.column("event_id").to_numpy(zero_copy_only=False)
@@ -2194,10 +2142,9 @@ def q_locf_fill(sf_dir: str):
             "event_id": pa.array(e[order]),
             "last_purchase": pa.array(fill, mask=~ok)}).cast(_empty)
 
-    return _events(sf_dir, ["event_id", "user_id", "ts", "event_type",
-                            "value"]).map_batches(
-        tag, batch_format="pyarrow", zero_copy_batch=True).groupby(
-        "_part").map_groups(scan, batch_format="pyarrow")
+    return exchange(_events(sf_dir, ["event_id", "user_id", "ts", "event_type",
+                                     "value"]).map_batches(
+        tag, batch_format="pyarrow", zero_copy_batch=True), "u", scan)
 
 
 def q_gapfill_daily(sf_dir: str):
@@ -2210,8 +2157,6 @@ def q_gapfill_daily(sf_dir: str):
     the calendar, never by corpus rows) -> the dense grid is built
     driver-side from the aggregated partials with one numpy scatter —
     the only driver-side step is over the calendar-bounded result."""
-    from ..stages.aggregate import hash_partition_aggregate
-    from ..functions.parts import arrow_block_refs
     DAY_US = 86_400_000_000
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -2294,8 +2239,8 @@ def q_order_fill(sf_dir: str):
     quantity shipped on/after the window start — NULL when the order
     has no qualifying lineitems, proving outer semantics end-to-end.
 
-    Shape: the top_orders union co-partition join — both sides tagged
-    with the SAME _part = hash(orderkey) % P, lineitem pre-aggregated
+    Shape: the top_orders union co-partition join — both sides keyed
+    by orderkey in the same column, lineitem pre-aggregated
     per batch (combiner) before the ONE exchange, and the per-
     partition scan finishes the sum AND the outer fill in the same
     searchsorted pass.  Quantities are integral doubles in TPC-H, so
@@ -2316,10 +2261,8 @@ def q_order_fill_outer(sf_dir: str):
 
 
 def _order_join(sf_dir: str, outer: bool):
-    from ..functions.parts import hash_parts, key_parts
     lo = np.datetime64(_FILL_LO).astype("datetime64[us]").astype(np.int64)
     hi = np.datetime64(_FILL_HI).astype("datetime64[us]").astype(np.int64)
-    P = hash_parts()
 
     def order_side(batch: pa.Table) -> pa.Table:
         od = batch.column("o_orderdate").combine_chunks().cast(
@@ -2327,7 +2270,6 @@ def _order_join(sf_dir: str, outer: bool):
         m = (od >= lo) & (od < hi)
         ok = batch.column("o_orderkey").to_numpy(zero_copy_only=False)[m]
         return pa.table({
-            "_part": pa.array(key_parts(ok, P)),
             "k": pa.array(ok),
             "prio": batch.column("o_orderpriority").combine_chunks().filter(
                 pa.array(m)),
@@ -2353,7 +2295,6 @@ def _order_join(sf_dir: str, outer: bool):
         qv = (np.add.reduceat(q_s, starts) if len(starts)
               else np.array([], dtype=np.int64))
         return pa.table({
-            "_part": pa.array(key_parts(ku, P)),
             "k": pa.array(ku),
             "prio": pa.array([None] * len(ku), pa.string()),
             "qty": pa.array(qv),
@@ -2407,8 +2348,7 @@ def _order_join(sf_dir: str, outer: bool):
         return pa.concat_tables([out.cast(_EMPTY_FILL),
                                  right_only.cast(_EMPTY_FILL)])
 
-    return orders.union(items).groupby("_part").map_groups(
-        join_scan, batch_format="pyarrow")
+    return exchange(orders.union(items), "k", join_scan)
 
 
 def q_order_lines(sf_dir: str):
@@ -2417,16 +2357,14 @@ def q_order_lines(sf_dir: str):
     aggregate inside the scan): each window order attached to each of
     its lineitems, one output row per matched pair.
 
-    Shape: union co-partition (ONE exchange keyed hash(orderkey) % P;
+    Shape: union co-partition (ONE exchange keyed on orderkey;
     lineitem pruned to 3 columns at the read — no combiner is
     possible for a row join, so column pruning is the lever), then a
     vectorized expansion scan: right side sorted by key once,
     searchsorted start/end per left key, np.repeat + arange gather —
     the interval_join expansion kernel on an equi predicate."""
-    from ..functions.parts import hash_parts, key_parts
     lo = np.datetime64(_FILL_LO).astype("datetime64[us]").astype(np.int64)
     hi = np.datetime64(_FILL_HI).astype("datetime64[us]").astype(np.int64)
-    P = hash_parts()
 
     def order_side(batch: pa.Table) -> pa.Table:
         od = batch.column("o_orderdate").combine_chunks().cast(
@@ -2434,7 +2372,6 @@ def q_order_lines(sf_dir: str):
         m = (od >= lo) & (od < hi)
         ok = batch.column("o_orderkey").to_numpy(zero_copy_only=False)[m]
         return pa.table({
-            "_part": pa.array(key_parts(ok, P)),
             "k": pa.array(ok),
             "prio": batch.column("o_orderpriority").combine_chunks().filter(
                 pa.array(m)),
@@ -2450,7 +2387,6 @@ def q_order_lines(sf_dir: str):
     def item_side(batch: pa.Table) -> pa.Table:
         keys = batch.column("l_orderkey").to_numpy(zero_copy_only=False)
         return pa.table({
-            "_part": pa.array(key_parts(keys, P)),
             "k": pa.array(keys),
             "prio": pa.array([None] * len(keys), pa.string()),
             "ln": batch.column("l_linenumber"),
@@ -2493,8 +2429,7 @@ def q_order_lines(sf_dir: str):
             "l_linenumber": right.column("ln").take(pa.array(ri)),
             "qty": right.column("qty").take(pa.array(ri))})
 
-    return orders.union(items).groupby("_part").map_groups(
-        join_scan, batch_format="pyarrow")
+    return exchange(orders.union(items), "k", join_scan)
 
 
 def q_sample_per_source(sf_dir: str):
@@ -2571,7 +2506,6 @@ def q_media_audit(sf_dir: str):
     Oracle: pure arithmetic on media_id — the corruption rule is SQL,
     so the expected counts are stated independently of encoder,
     corrupter and decoder."""
-    from ..stages.aggregate import hash_partition_aggregate
     ds = _synth_media(sf_dir)
 
     def corrupt(batch: pa.Table) -> pa.Table:
@@ -2645,7 +2579,6 @@ def q_media_dedup(sf_dir: str):
     400), independent of the hashing."""
     from ..functions.hashing import md5_bytes_array
     from ..ops.multimodal import synth_media_batch
-    from ..stages.aggregate import hash_partition_aggregate
     docs = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                                  columns=["doc_id"])
 
@@ -3843,7 +3776,6 @@ def q_priority_semi(sf_dir: str):
     to unique keys per block before the one exchange) finished by a
     bounded-cardinality priority count."""
     from ..ops.relational import semi_join
-    from ..stages.aggregate import hash_partition_aggregate
     lo = np.datetime64(_SEMI_LO).astype("datetime64[us]").astype(np.int64)
     hi = np.datetime64(_SEMI_HI).astype("datetime64[us]").astype(np.int64)
     orders = ray.data.read_parquet(

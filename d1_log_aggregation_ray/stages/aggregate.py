@@ -21,62 +21,34 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..functions.hashing import md5_lower64_array
-from ..functions.parts import hash_parts, key_parts
-
-
-def add_part_column(batch: pa.Table, key: str, n_parts: int,
-                    part_col: str = "_part") -> pa.Table:
-    """Append a hash-partition column derived from `key` (int keys via
-    golden-ratio mix, fixed-width binary via the embedded low-64 bits,
-    strings via md5)."""
-    col = batch.column(key)
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    if pa.types.is_integer(col.type):
-        from ..functions.parts import int_key_array
-        part = key_parts(int_key_array(col), n_parts)
-    elif pa.types.is_fixed_size_binary(col.type):
-        w = col.type.byte_width
-        raw = np.frombuffer(col.buffers()[1], dtype=np.uint8)
-        raw = raw[col.offset * w:(col.offset + len(col)) * w].reshape(-1, w)
-        low = raw[:, max(0, w - 8):].copy().view(np.uint64).reshape(-1)
-        part = (low % np.uint64(n_parts)).astype(np.int64)
-    else:
-        part = (md5_lower64_array(col) % np.uint64(n_parts)).astype(np.int64)
-    return batch.append_column(part_col, pa.array(part))
+from ..functions.parts import exchange
 
 
 def hash_partition_aggregate(ds: ray.data.Dataset, keys: list[str],
-                             aggs: list[tuple], rename: dict | None = None,
-                             n_parts: int | None = None) -> ray.data.Dataset:
+                             aggs: list[tuple], rename: dict | None = None
+                             ) -> ray.data.Dataset:
     """groupby(keys).aggregate(...) for HIGH-CARDINALITY keys.
 
     Ray's native groupby().aggregate() pays ~90 us of python per group
     in its reduce (measured on this box: 73 s vs 2.5 s for 2M rows /
     500k keys), which is unusable when the key is a conv/doc/user id.
-    This runs the same single sort-shuffle — but keyed on a small
-    `_part = hash(key) % P` column — and then aggregates each whole
-    partition in ONE arrow C++ hash-aggregate call (Table.group_by).
+    This runs the same single sort-shuffle — as one `exchange` on the
+    first key — and then aggregates each whole partition in ONE arrow
+    C++ hash-aggregate call (Table.group_by).
 
     `aggs` are pyarrow aggregate specs, e.g. [("v", "min")] or
     [([], "count_all")]; output names follow arrow ("v_min",
     "count_all"), remapped via `rename`.  Callers needing map-side
     combining still pre-aggregate per batch before calling (count
     partials must then be summed here, not re-counted)."""
-    P = n_parts or hash_parts()
-    k0 = keys[0]
 
     def agg_part(group: pa.Table) -> pa.Table:
-        g = group.drop_columns(["_part"]).group_by(keys).aggregate(aggs)
+        g = group.group_by(keys).aggregate(aggs)
         if rename:
             g = g.rename_columns([rename.get(c, c) for c in g.column_names])
         return g
 
-    return (ds.map_batches(add_part_column, batch_format="pyarrow",
-                           zero_copy_batch=True,
-                           fn_kwargs={"key": k0, "n_parts": P})
-            .groupby("_part").map_groups(agg_part, batch_format="pyarrow"))
+    return exchange(ds, keys[0], agg_part)
 
 
 def salted_count_max(ds: ray.data.Dataset, key: str, ts_col: str,

@@ -6,7 +6,6 @@ sf-scale oracle parity tests can't isolate."""
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pytest
 
 import ray.data
@@ -167,13 +166,19 @@ def test_fork_dedup_planted():
         # diverges at turn 2 -> NOT a prefix
         "e": [("user", "hi"), ("assistant", "different")],
     }
-    chains = prefix_chain_scan(_conv_table(convs), n_parts=4)
+    from d1_log_aggregation_ray.functions.parts import part_ids
+    chains = prefix_chain_scan(_conv_table(convs))
+    # the whole table is one legal partition; so is every slice of a
+    # hash partitioning on the chain digest
+    whole = set(fork_dedup_partition(chains).column("conv_id").to_pylist())
+    part = part_ids(chains.column("h64"), 4)
     survivors = set()
     for p in range(4):
-        g = chains.filter(pc.equal(chains.column("part"), p))
-        survivors |= set(
-            fork_dedup_partition(g).column("conv_id").to_pylist())
-    assert survivors == {"c", "d1", "e"}
+        g = chains.filter(pa.array(part == p))
+        if g.num_rows:
+            survivors |= set(
+                fork_dedup_partition(g).column("conv_id").to_pylist())
+    assert whole == survivors == {"c", "d1", "e"}
 
 
 def test_fork_dedup_turn_boundary():
@@ -185,7 +190,7 @@ def test_fork_dedup_turn_boundary():
         "a": [("user", "x\x1fuser:y")],
         "b": [("user", "x"), ("user", "y"), ("user", "z")],
     }
-    chains = prefix_chain_scan(_conv_table(convs), n_parts=1)
+    chains = prefix_chain_scan(_conv_table(convs))
     out = set(fork_dedup_partition(chains).column("conv_id").to_pylist())
     assert out == {"a", "b"}
 

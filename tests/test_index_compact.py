@@ -154,3 +154,42 @@ def test_compact_sweep_spares_append_tmp_segment(tmp_path):
     assert rep["action"] == "merged"
     assert not os.path.exists(dead)
     assert os.path.isfile(os.path.join(live_append, "part.parquet"))
+
+
+def test_compact_sweep_spares_tmp_dir_with_fresh_file(tmp_path):
+    """A foreign `_tmp-*` dir is reclaimed by the newest mtime in its
+    tree, not by the top dir's own mtime: a writer adding files deep
+    inside never touches the top dir, so an aged top dir holding a
+    fresh file is still live.  A tree that is old throughout goes."""
+    idx, _ = _segmented_index(tmp_path, n_days=2)
+    old = os.path.getmtime(idx) - 7200          # past the 1 h threshold
+    live = os.path.join(idx, "_tmp-seg-live0123456789ab")
+    dead = os.path.join(idx, "_tmp-seg-dead0123456789ab")
+    for d in (live, dead):
+        os.makedirs(os.path.join(d, "bucket=0"))
+        with open(os.path.join(d, "bucket=0", "part.parquet"), "wb") as f:
+            f.write(b"append bytes")
+    os.utime(os.path.join(dead, "bucket=0", "part.parquet"), (old, old))
+    for d in (live, dead):
+        os.utime(os.path.join(d, "bucket=0"), (old, old))
+        os.utime(d, (old, old))
+    compact_minhash_index(idx)
+    assert os.path.isfile(os.path.join(live, "bucket=0", "part.parquet"))
+    assert not os.path.exists(dead)
+
+
+def test_index_built_and_queried_on_different_pool_sizes(tmp_path,
+                                                         monkeypatch):
+    """The index stores band keys, never partition ids: built with 4
+    CPUs (P = 8) and queried with 6 (P = 12), every exact copy of a
+    prior doc still meets its prior bucket and is dropped."""
+    from d1_log_aggregation_ray.functions import parts
+    idx = str(tmp_path / "idx")
+    ids, texts = _corpus(3, 400, 0)
+    texts = [f"{t} doc{i}" for i, t in zip(ids, texts)]   # all distinct
+    monkeypatch.setattr(parts, "_cpus", lambda: 4)
+    build_minhash_index(_docs(ids, texts), idx, n_bands=1)
+    monkeypatch.setattr(parts, "_cpus", lambda: 6)
+    copies = _docs([10_000 + i for i in ids], texts)
+    surv = incremental_minhash_dedup(copies, idx, n_bands=1).take_all()
+    assert surv == []

@@ -1,7 +1,9 @@
-"""A 1-CPU cluster runs the harvest to completion.  The per-bucket
-stages request config.BUCKET_TASK_CPUS (< 1 CPU) so that Ray does not
-fuse them with the per-slice stage; a request above 1 CPU could never
-be scheduled on such a pool, and the harvest would hang."""
+"""A 1-CPU cluster runs the harvest, the repeat-visit query, the
+export, the compaction and an exchange query to completion.  The
+per-bucket stages request config.BUCKET_TASK_CPUS (< 1 CPU) so that Ray
+does not fuse them with the per-slice stage; a request above 1 CPU
+could never be scheduled on such a pool, and the entry point would
+hang.  All five run in one subprocess under one timeout."""
 
 import json
 import os
@@ -15,25 +17,42 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIMEOUT_S = 240
 
 _SCRIPT = """
-import json, sys
+import json, os, sys
 import ray
 ray.init(address="local", num_cpus=1, include_dashboard=False)
 from d1_log_aggregation_ray.pipelines.harvest import run_harvest
-s = run_harvest(sys.argv[1], sys.argv[2], resume=False)
+from d1_log_aggregation_ray.pipelines.queries import (q_conv_dedup,
+                                                      q_repeat_visit)
+from d1_log_aggregation_ray.sources.compact import compact_output
+from d1_log_aggregation_ray.sources.export import export_conversations_jsonl
+fx, out = sys.argv[1], sys.argv[2]
+s = run_harvest(fx, os.path.join(out, "harvest"), resume=False)
+rv = q_repeat_visit(fx).take_all()
+exp = export_conversations_jsonl(fx, os.path.join(out, "export")).take_all()
+comp = compact_output(os.path.join(out, "harvest")).take_all()
+conv = q_conv_dedup(fx).take_all()
 print(json.dumps({"rows": s["rows_out_total"],
-                  "repeat": s["is_repeat_visit"]}))
+                  "repeat": s["is_repeat_visit"],
+                  "q_repeat": sum(bool(r["is_repeat_visit"]) for r in rv),
+                  "export_turns": sum(r["n_turns"] for r in exp),
+                  "compact_leaves": len(comp),
+                  "conv_dedup": sorted(r["conv_id"] for r in conv)}))
 ray.shutdown()
 """
 
 
 def test_harvest_on_one_cpu(fx_dir, tmp_path):
+    import glob
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
     from d1_log_aggregation_ray.pipelines.oracle import oracle_enriched
+    from d1_log_aggregation_ray.pipelines.queries import q_conv_dedup
 
     env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (REPO, env.get("PYTHONPATH")) if p)
     proc = subprocess.Popen(
-        [sys.executable, "-c", _SCRIPT, fx_dir, str(tmp_path / "out")],
+        [sys.executable, "-c", _SCRIPT, fx_dir, str(tmp_path)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env=env, cwd=REPO, start_new_session=True)
     try:
@@ -41,9 +60,23 @@ def test_harvest_on_one_cpu(fx_dir, tmp_path):
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        pytest.fail(f"harvest on a 1-CPU cluster ran past {TIMEOUT_S} s")
+        pytest.fail(f"entry points on a 1-CPU cluster ran past "
+                    f"{TIMEOUT_S} s")
     assert proc.returncode == 0, err[-3000:]
     got = json.loads(out.strip().splitlines()[-1])
     want = oracle_enriched(fx_dir)
     assert got["rows"] == len(want)
     assert got["repeat"] == int(want["is_repeat_visit"].sum()) > 0
+    assert got["q_repeat"] == got["repeat"]
+    conv = pq.read_table(os.path.join(fx_dir, "transcripts"),
+                         columns=["conv_id"]).column("conv_id")
+    # the export writes every turn with a non-empty conv_id
+    assert got["export_turns"] == pc.sum(
+        pc.fill_null(pc.not_equal(conv, ""), False)).as_py()
+    leaves = {os.path.dirname(p) for p in glob.glob(os.path.join(
+        tmp_path, "harvest", "bucket_id=*", "sink_id=*", "*.parquet"))}
+    assert got["compact_leaves"] == len(leaves) > 0
+    # the exchange result on a 1-CPU pool equals the one on the test
+    # suite's 4-CPU pool
+    assert got["conv_dedup"] == sorted(
+        r["conv_id"] for r in q_conv_dedup(fx_dir).take_all())
