@@ -1,4 +1,5 @@
-"""The package's one hash exchange, and the decisions it owns.
+"""The package's one hash exchange and one global top-n, and the
+decisions they own.
 
 `exchange(ds, key, fn)` co-locates every row with an equal `key` and
 calls `fn` once per non-empty partition.  This module alone decides
@@ -16,6 +17,11 @@ output depends on the cluster size and is unspecified; only the set
 of output rows is.  Partitioning assumption: one partition of the
 shuffled rows fits in a worker's heap; P scales with the cluster, so
 at N x the data on N x the nodes the per-partition size is constant.
+
+`top_n(ds, n, by)` is the reduce every top-k, order-statistic sample
+and bounded fit sample goes through: callers keep their scoring
+kernel and hand the scored rows over; the per-block cut, the merge
+tree's fan-in and the driver's bound live here.
 """
 
 from __future__ import annotations
@@ -142,3 +148,79 @@ def arrow_block_refs(ds) -> list:
     from ray.data.dataset import _ref_bundles_iterator_to_block_refs_list
     return _ref_bundles_iterator_to_block_refs_list(
         ds.iter_internal_ref_bundles())
+
+
+#: most partials one merge reads: a merge task, and the driver's last
+#: concat, each hold at most FAN_IN x n rows
+FAN_IN = 8
+
+
+def _cut(t: pa.Table, n: int, by: list, per: str | None) -> pa.Table:
+    """The n smallest rows of `t` by the lexicographic key `by` (per
+    value of `per`, when given), sorted by (per, *by).  Arrow's stable
+    sort: NaN after every number, null last, in both directions."""
+    keys = ([(per, "ascending")] if per else []) + list(by)
+    t = t.take(pc.sort_indices(t, sort_keys=keys))
+    if per is None:
+        return t.slice(0, n)
+    g = t.column(per).to_numpy(zero_copy_only=False)
+    i = np.arange(len(g))
+    head = np.maximum.accumulate(np.where(
+        np.r_[True, g[1:] != g[:-1]], i, 0)) if len(g) else i
+    return t.filter(pa.array(i - head < n))
+
+
+def _concat_cut(parts, n: int, by: list, per: str | None) -> pa.Table:
+    typed = [t for t in parts if t.num_columns]
+    if not typed:
+        return pa.table({})
+    return _cut(pa.concat_tables(typed, promote_options="default"),
+                n, by, per)
+
+
+@ray.remote
+def _merge(n: int, by: list, per: str | None, *parts) -> pa.Table:
+    return _concat_cut(parts, n, by, per)
+
+
+def top_n(ds: ray.data.Dataset, n: int, by: list, *,
+          per: str | None = None,
+          schema: pa.Schema | None = None) -> pa.Table:
+    """The package's one global top-n: the n rows of `ds` with the
+    smallest lexicographic key `by`, a list of (column, "ascending" |
+    "descending"), as one driver-held Arrow table sorted by `by`.
+    `per` names a group column: n rows per value, sorted by
+    (per, *by).
+
+    Each block is cut to its own top-n in a map that fuses with the
+    caller's scoring kernel; the partials then merge in a tree of
+    tasks, each reading at most FAN_IN of them, until at most FAN_IN
+    remain for the driver (no merge task when the map produced that
+    few).  The tree's depth follows from the number of blocks, so the
+    driver holds at most FAN_IN x n rows (per `per` value) at any
+    corpus size.  Rows
+    whose full key ties keep no defined order; callers end `by` with
+    a unique id.
+
+    Ray never calls a map on a zero-row block, so an empty input
+    yields no typed partial: the result is then `schema`'s empty
+    table, or `ds.schema()`'s (which runs the plan to find it) when
+    the caller gives none."""
+    refs = arrow_block_refs(ds.map_batches(
+        _cut, batch_format="pyarrow", batch_size=None,
+        zero_copy_batch=True,
+        fn_kwargs={"n": n, "by": by, "per": per}))
+    while len(refs) > FAN_IN:
+        step = -(-len(refs) // -(-len(refs) // FAN_IN))
+        groups = [refs[i:i + step] for i in range(0, len(refs), step)]
+        refs = [g[0] if len(g) == 1 else _merge.remote(n, by, per, *g)
+                for g in groups]
+    out = _concat_cut(ray.get(refs), n, by, per)
+    if out.num_columns:
+        return out
+    if schema is None:
+        found = ds.schema()
+        if found is None:
+            return out
+        schema = getattr(found, "base_schema", found)
+    return schema.empty_table()

@@ -7,14 +7,14 @@ Lloyd iterations.
 
 Reference analog: the repeated full-corpus aggregation passes of the
 harvest cycle (LogAggregationScheduleManager.java scheduling one
-bounded pass per cycle) — each Lloyd iteration is one streaming pass
-with a per-batch combiner and a tiny driver-side merge.
+bounded pass per cycle) — the fit reads a bounded sample in two
+streaming passes, and assignment is one more.
 
 Scale shape (100 TB corpus — round 4 default: BOUNDED WORKING SET):
   - The centroid fit runs driver-local over a deterministic bounded
     sample: the FIT_SAMPLE_N rows with the smallest (md5(id), id)
-    rank, gathered in ONE streaming pass of per-block smallest-n
-    partials + a coalescing tree merge (the coarse_centroids shape).
+    rank, ranked by `functions.parts.top_n` over the id column and
+    gathered in one more streaming pass.
     The fit's memory is O(sample * d) REGARDLESS of corpus size, and
     nothing is pinned in the object store — the round-3 formulation
     materialized the whole narrow projection for the fit, which at
@@ -24,13 +24,10 @@ Scale shape (100 TB corpus — round 4 default: BOUNDED WORKING SET):
   - Seeds: k vectors with the smallest (md5(vec_id), vec_id) — a
     subset of the sample by construction, so seeding is free.
   - Nothing all-pairs, no shuffle at all: k-means is combiner-only.
-  - fit_sample_n=None opts into the EXACT distributed fit (the
-    round-3 shape): projection cached once as Arrow block refs, per
-    iteration one tiny task per block emitting k-row integer partials
-    merged on the driver.  When sample_n >= corpus size the sampled
-    fit is bit-identical to the exact fit (integer sums are
-    associative), which is what keeps the pinned goldens valid at
-    test scales.
+  - When FIT_SAMPLE_N >= corpus size the sample IS the corpus, so the
+    fit equals a full-corpus Lloyd (integer sums are associative) —
+    what keeps the pinned goldens and tests/kmeans_reference.py valid
+    at test scales.
 
 Determinism (the property the pinned golden + cross-cpu-count
 equality tests rely on): ALL arithmetic is int64 — embeddings are
@@ -82,92 +79,10 @@ def cent_norms(cent: np.ndarray) -> np.ndarray:
     return np.einsum("kd,kd->k", cent, cent)
 
 
-@ray.remote
-def _seed_part(tbl: pa.Table, k: int, id_col: str, vec_col: str):
-    """Local smallest-k by (md5(id), id): (h, id, quantized vec)."""
-    if tbl.num_rows == 0:
-        return None
-    h = md5_lower64_array(pc.cast(tbl.column(id_col), pa.string()))
-    ids = tbl.column(id_col).to_numpy(zero_copy_only=False)
-    order = np.lexsort((ids, h))[:k]
-    return (h[order], ids[order].astype(np.int64),
-            _quantize(tbl, vec_col)[order])
-
-
-@ray.remote
-def _lloyd_part(tbl: pa.Table, cent: np.ndarray, id_col: str,
-                vec_col: str):
-    """Per-cluster (counts, integer sums) for one block — the k-row
-    combiner partial that crosses the wire instead of the block."""
-    if tbl.num_rows == 0:
-        return None
-    q = _quantize(tbl, vec_col)
-    a = _assign(q, cent)
-    order = np.argsort(a, kind="stable")
-    a_s, q_s = a[order], q[order]
-    starts = np.flatnonzero(np.r_[True, a_s[1:] != a_s[:-1]])
-    return (a_s[starts],
-            np.diff(np.r_[starts, len(a_s)]).astype(np.int64),
-            np.add.reduceat(q_s, starts, axis=0))
-
-
-def _seed_centroids(refs: list, k: int, id_col: str,
-                    vec_col: str) -> np.ndarray:
-    parts = [p for p in ray.get(
-        [_seed_part.remote(r, k, id_col, vec_col) for r in refs])
-        if p is not None]
-    h = np.concatenate([p[0] for p in parts])
-    ids = np.concatenate([p[1] for p in parts])
-    q = np.concatenate([p[2] for p in parts], axis=0)
-    order = np.lexsort((ids, h))[:k]
-    if len(order) < k:
-        raise ValueError(f"k={k} exceeds corpus size {len(order)}")
-    return q[order]
-
-
-def _fit_centroids(refs: list, k: int, iters: int, id_col: str,
-                   vec_col: str) -> np.ndarray:
-    """Lloyd loop over cached Arrow block refs: per-block integer
-    partials (k x d sums + counts) merged on the driver, centroids
-    re-broadcast per pass.  Combiner-only — nothing but k-row partials
-    crosses the wire."""
-    cent = _seed_centroids(refs, k, id_col, vec_col)
-    d = cent.shape[1]
-    for _ in range(iters):
-        cref = ray.put(cent)
-        parts = [p for p in ray.get(
-            [_lloyd_part.remote(r, cref, id_col, vec_col) for r in refs])
-            if p is not None]
-        S = np.zeros((k, d), dtype=np.int64)
-        N = np.zeros(k, dtype=np.int64)
-        for cl, n, s in parts:
-            N[cl] += n
-            S[cl] += s
-        nz = N > 0  # empty clusters keep their previous centroid
-        cent = cent.copy()
-        cent[nz] = S[nz] // N[nz, None]  # integer floor-div mean
-    return cent
-
-
-def _cached_blocks(ds: ray.data.Dataset, id_col: str, vec_col: str):
-    """Materialize the narrow (id, vector) projection once, split to
-    ~2 blocks per CPU (streaming split, no all-to-all) so every Lloyd
-    pass runs one task per block at full parallelism.  EXACT-FIT PATH
-    ONLY (fit_sample_n=None): this pins the whole projection in the
-    object store for the duration of the fit — at 100 TB of
-    embeddings the projection IS the dataset, which is why the
-    default fit is the bounded-sample path below (round-3 verdict
-    item 3)."""
-    from ..functions.parts import arrow_block_refs, hash_parts
-    mat = (ds.select_columns([id_col, vec_col])
-           .repartition(hash_parts()).materialize())
-    return mat, arrow_block_refs(mat)
-
-
 #: default bounded-fit sample size: large enough that every test /
 #: bench corpus (<= 50k vectors) is covered WHOLE (sample == corpus ->
-#: fit bit-identical to the exact distributed fit, pinned goldens
-#: unchanged), small enough that the driver-held sample is ~64 MB at
+#: fit equal to a full-corpus Lloyd, pinned goldens unchanged), small
+#: enough that the driver-held sample is ~64 MB at
 #: d=64 — the fit working set no longer scales with the corpus.
 FIT_SAMPLE_N = 65_536
 
@@ -178,14 +93,11 @@ def _rank_sample_table(ds: ray.data.Dataset, n: int, id_col: str,
     smallest (md5(id), id) rank.  TWO streaming passes, neither of
     which materializes the projection:
 
-      A. rank pass over the ID COLUMN ONLY via the SHARED
-         order-statistic primitive (ops/split.smallest_rank_table —
-         the same code path exact_sample ships): per-block smallest-n
-         (_h, id) partials (16 bytes/row) through three coalescing
-         tree-merge levels + a driver merge.  Vectors never ride the
-         merge, so a coalesce task's working set is ~16n bytes at ANY
-         embedding dim (the first formulation carried vectors and
-         would have held GBs per task at d=768).
+      A. rank pass over the ID COLUMN ONLY: `top_n` over the
+         ops/split.md5_ranked (id, `_h`) rows — the same code path
+         exact_sample ships.  Vectors never ride the merge, so a merge
+         task's working set is ~16n bytes x FAN_IN at ANY embedding
+         dim.
       B. gather pass — broadcast the sorted sample ids once
          (ray.put), filter the (id, vec) projection by searchsorted
          membership, collect the <= n matching rows.
@@ -194,10 +106,11 @@ def _rank_sample_table(ds: ray.data.Dataset, n: int, id_col: str,
     the local fit needs anyway; callers shrink fit_sample_n for very
     wide embeddings.  Returns a driver-held table carrying the rank
     as `_h` so seeding reuses it."""
-    from ..functions.parts import arrow_block_refs
-    from .split import smallest_rank_table
+    from ..functions.parts import arrow_block_refs, top_n
+    from .split import md5_ranked
 
-    ranked = smallest_rank_table(ds, n, id_col, levels=3)
+    ranked = top_n(md5_ranked(ds, id_col), n,
+                   [("_h", "ascending"), (id_col, "ascending")])
     if ranked.num_rows == 0:
         raise ValueError("empty input: nothing to fit centroids on")
     want = np.sort(pc.cast(ranked.column(id_col), pa.int64())
@@ -227,22 +140,12 @@ def _rank_sample_table(ds: ray.data.Dataset, n: int, id_col: str,
                      vec_col: out.column(vec_col)})
 
 
-def _lloyd_fit_local(tbl: pa.Table, k: int, iters: int, id_col: str,
-                     vec_col: str) -> np.ndarray:
-    """The SAME integer Lloyd recursion as the distributed
-    _fit_centroids, run driver-local over a (bounded) sample table:
-    seeds = smallest-k by (md5(id), id) — a subset of the sample by
-    construction — then `iters` passes of exact int64 assign /
-    floor-div means, empty clusters keeping their previous centroid.
-    Integer sums are associative, so when the sample covers the whole
-    corpus this is bit-identical to the distributed exact fit."""
-    h = tbl.column("_h").to_numpy(zero_copy_only=False).view(np.uint64)
-    ids = tbl.column(id_col).to_numpy(zero_copy_only=False)
-    q = _quantize(tbl, vec_col)
-    order = np.lexsort((ids, h))[:k]
-    if len(order) < k:
-        raise ValueError(f"k={k} exceeds corpus size {len(order)}")
-    cent = q[order]
+def _lloyd(q: np.ndarray, cent: np.ndarray, iters: int) -> np.ndarray:
+    """The one integer Lloyd recursion: `iters` passes of exact int64
+    assign + floor-div means over the quantized rows `q`, empty
+    clusters keeping their previous centroid.  Integer sums are
+    associative, so the result does not depend on the row order —
+    only on the row set."""
     for _ in range(iters):
         a = _assign(q, cent)
         so = np.argsort(a, kind="stable")
@@ -255,43 +158,50 @@ def _lloyd_fit_local(tbl: pa.Table, k: int, iters: int, id_col: str,
     return cent
 
 
+def _seed_rows(tbl: pa.Table, k: int, id_col: str) -> np.ndarray:
+    """Row indices of the k smallest (md5(id), id) rows of a
+    _rank_sample_table — the seeds, a subset of the sample by
+    construction."""
+    h = tbl.column("_h").to_numpy(zero_copy_only=False).view(np.uint64)
+    ids = tbl.column(id_col).to_numpy(zero_copy_only=False)
+    order = np.lexsort((ids, h))[:k]
+    if len(order) < k:
+        raise ValueError(f"k={k} exceeds corpus size {len(order)}")
+    return order
+
+
 def _fit_centroids_bounded(ds: ray.data.Dataset, k: int, iters: int,
                            id_col: str, vec_col: str,
                            sample_n: int) -> np.ndarray:
     """Bounded-working-set Lloyd: one streaming smallest-n sample pass
-    + a driver-local integer fit.  The fit's memory is O(sample_n * d)
+    + a driver-local integer fit seeded by the sample's smallest-k
+    (md5(id), id) rows.  The fit's memory is O(sample_n * d)
     regardless of corpus size; nothing is pinned in the object
     store.  sample_n is clamped to >= k so the documented
     "shrink fit_sample_n for wide embeddings" advice can never trip
-    _lloyd_fit_local's corpus-size check (round-4 ADVICE): the only
-    remaining failure is a corpus genuinely smaller than k."""
-    return _lloyd_fit_local(
-        _rank_sample_table(ds, max(sample_n, k), id_col, vec_col),
-        k, iters, id_col, vec_col)
+    the corpus-size check: the only remaining failure is a corpus
+    genuinely smaller than k."""
+    sample = _rank_sample_table(ds, max(sample_n, k), id_col, vec_col)
+    q = _quantize(sample, vec_col)
+    return _lloyd(q, q[_seed_rows(sample, k, id_col)], iters)
 
 
 def kmeans_embeddings(ds: ray.data.Dataset, k: int = 10, iters: int = 5,
                       id_col: str = "vec_id",
                       vec_col: str = "embedding",
-                      fit_sample_n: int | None = FIT_SAMPLE_N
+                      fit_sample_n: int = FIT_SAMPLE_N
                       ) -> ray.data.Dataset:
     """(id, cluster) assignment after `iters` Lloyd iterations from
-    deterministic hash-ordered seeds.  Default fit is the
+    deterministic hash-ordered seeds.  The fit is the
     BOUNDED-WORKING-SET path: centroids fit driver-local on the
     deterministic smallest-fit_sample_n (md5-rank) sample gathered in
     one streaming pass, then ONE streaming assignment pass over the
-    input — nothing pinned in the object store (round-3 verdict item
-    3; sample >= corpus at test scales keeps the pinned goldens
-    bit-identical).  fit_sample_n=None opts into the exact distributed
-    fit over cached blocks (the round-3 formulation).  See module
+    input — nothing pinned in the object store (sample >= corpus at
+    test scales keeps the pinned goldens bit-identical).  See module
     docstring for the integer-exactness argument."""
-    if fit_sample_n is None:
-        src, refs = _cached_blocks(ds, id_col, vec_col)
-        cent = _fit_centroids(refs, k, iters, id_col, vec_col)
-    else:
-        src = ds.select_columns([id_col, vec_col])
-        cent = _fit_centroids_bounded(src, k, iters, id_col, vec_col,
-                                      fit_sample_n)
+    src = ds.select_columns([id_col, vec_col])
+    cent = _fit_centroids_bounded(src, k, iters, id_col, vec_col,
+                                  fit_sample_n)
     cref = ray.put(cent)
 
     def final(batch: pa.Table, *, cent_ref) -> pa.Table:
@@ -314,7 +224,7 @@ def semantic_dedup(ds: ray.data.Dataset, k: int = 10, iters: int = 5,
                    threshold: float = 0.95,
                    id_col: str = "vec_id",
                    vec_col: str = "embedding",
-                   fit_sample_n: int | None = FIT_SAMPLE_N
+                   fit_sample_n: int = FIT_SAMPLE_N
                    ) -> ray.data.Dataset:
     """SemDeDup (Abbas et al. 2023, arXiv:2303.09540): k-means as the
     blocking stage, exact cosine dedup inside each cluster.  A vector
@@ -323,8 +233,8 @@ def semantic_dedup(ds: ray.data.Dataset, k: int = 10, iters: int = 5,
     ids) are returned.
 
     Scale shape (100 TB corpus):
-      - Centroid fit is the combiner-only Lloyd loop above — k x d
-        integer partials per block, nothing else moves.
+      - Centroid fit is the bounded-sample Lloyd above — one id rank
+        pass and one gather pass, then a driver-local fit.
       - ONE exchange, each vector carried exactly once, keyed on
         the cluster id (contrast: sign-LSH embedding dedup ships
         n_planes+1 replicas).  Every cluster lands whole in one
@@ -367,17 +277,12 @@ def semantic_dedup(ds: ray.data.Dataset, k: int = 10, iters: int = 5,
 
     unit = ds.map_batches(_unit_rows, batch_format="pyarrow",
                           zero_copy_batch=True)
-    # bounded fit (default): one streaming sample pass + driver-local
-    # Lloyd, then one streaming assignment pass — the unit lineage
-    # executes twice instead of being pinned whole in plasma (the
-    # right trade at 100 TB; normalize is a cheap map).  None -> the
-    # exact cached-blocks fit.
-    if fit_sample_n is None:
-        unit, refs = _cached_blocks(unit, id_col, vec_col)
-        cent = _fit_centroids(refs, k, iters, id_col, vec_col)
-    else:
-        cent = _fit_centroids_bounded(unit, k, iters, id_col, vec_col,
-                                      fit_sample_n)
+    # bounded fit: one streaming sample pass + driver-local Lloyd,
+    # then one streaming assignment pass — the unit lineage executes
+    # twice instead of being pinned whole in plasma (the right trade
+    # at 100 TB; normalize is a cheap map)
+    cent = _fit_centroids_bounded(unit, k, iters, id_col, vec_col,
+                                  fit_sample_n)
     cref = ray.put(cent)
 
     _empty = pa.table({
@@ -431,7 +336,7 @@ def organize_embeddings(ds: ray.data.Dataset, k: int = 10,
                         iters: int = 5, threshold: float = 0.4,
                         d_out: int = 4, id_col: str = "vec_id",
                         vec_col: str = "embedding",
-                        fit_sample_n: int | None = FIT_SAMPLE_N
+                        fit_sample_n: int = FIT_SAMPLE_N
                         ) -> ray.data.Dataset:
     """The vector-side flagship composition (the curate_corpus analog
     for embeddings): SemDeDup the corpus, then cluster AND
@@ -451,21 +356,15 @@ def organize_embeddings(ds: ray.data.Dataset, k: int = 10,
     narrow projection lineage executes a handful of streaming times
     (SemDeDup's two, the two fit passes, the output map) instead of
     being pinned whole in plasma — the right trade at 100 TB where
-    the projection IS the dataset.  fit_sample_n=None restores the
-    round-3 cached-blocks exact formulation.
+    the projection IS the dataset.
 
     Fully integer-exact (both fits quantize once; see the module and
     ops/projection.py docstrings), so the composition pins as a
     golden cross-checked against the composed independent references.
     """
-    from .projection import (_fit_components, _fit_components_ds,
-                             PCA_SCALE)
+    from .projection import _fit_components_ds, PCA_SCALE
     from ..functions.parts import arrow_block_refs
     narrow = ds.select_columns([id_col, vec_col])
-    if fit_sample_n is None:
-        # exact path: cache the projection once; every fit pass reads
-        # the same immutable blocks
-        narrow = narrow.materialize()
     surv = semantic_dedup(narrow, k=k, iters=iters, threshold=threshold,
                           id_col=id_col, vec_col=vec_col,
                           fit_sample_n=fit_sample_n)
@@ -489,14 +388,9 @@ def organize_embeddings(ds: ray.data.Dataset, k: int = 10,
     kept = narrow.map_batches(
         keep, batch_format="pyarrow", zero_copy_batch=True,
         fn_kwargs={"surv_ids": ids_ref})
-    if fit_sample_n is None:
-        kept, refs = _cached_blocks(kept, id_col, vec_col)
-        cent = _fit_centroids(refs, k, iters, id_col, vec_col)
-        mu, wq = _fit_components(refs, d_out, vec_col)
-    else:
-        cent = _fit_centroids_bounded(kept, k, iters, id_col, vec_col,
-                                      fit_sample_n)
-        mu, wq = _fit_components_ds(kept, d_out, vec_col)
+    cent = _fit_centroids_bounded(kept, k, iters, id_col, vec_col,
+                                  fit_sample_n)
+    mu, wq = _fit_components_ds(kept, d_out, vec_col)
     bref = ray.put((cent, mu, wq))
     names = [f"pc{j + 1}" for j in range(d_out)]
     inv = 1.0 / float(PCA_SCALE) ** 2
@@ -568,7 +462,7 @@ def cluster_sample(ds: ray.data.Dataset, target: int, k: int = 10,
 def embedding_outliers(ds: ray.data.Dataset, n: int = 50, k: int = 10,
                        iters: int = 5, id_col: str = "vec_id",
                        vec_col: str = "embedding",
-                       fit_sample_n: int | None = FIT_SAMPLE_N
+                       fit_sample_n: int = FIT_SAMPLE_N
                        ) -> pa.Table:
     """Distance-to-centroid outlier mining: the n vectors FARTHEST
     from their own k-means centroid (exact int64 squared distance in
@@ -576,50 +470,31 @@ def embedding_outliers(ds: ray.data.Dataset, n: int = 50, k: int = 10,
     noise/anomaly surfacing step of embedding-driven curation (what a
     pipeline prunes or audits before SemDeDup-style balancing).
 
-    Scale shape: combiner-only end to end — the Lloyd fit moves k-row
-    partials, the outlier pick is a per-block local top-n lexsort
-    ((dist desc, id asc)) with one n-row-per-block driver merge; no
-    shuffle anywhere, the brute_force_topk shape.  All arithmetic
-    int64 (module determinism argument), so the result is
-    bit-identical at any parallelism -> pinned-golden oracle
-    generated from the independent pure-python reference
+    Scale shape: combiner-only end to end — the Lloyd fit moves a
+    bounded sample, the outlier pick is `top_n` over the scored
+    (id, cluster, dist) rows by (dist desc, id asc); no shuffle
+    anywhere.  All arithmetic int64 (module determinism argument), so
+    the result is bit-identical at any parallelism -> pinned-golden
+    oracle generated from the independent pure-python reference
     (tests/kmeans_reference.kmeans_reference_dists)."""
-    from ..functions.parts import arrow_block_refs
-    if fit_sample_n is None:
-        src, refs = _cached_blocks(ds, id_col, vec_col)
-        cent = _fit_centroids(refs, k, iters, id_col, vec_col)
-    else:
-        src = ds.select_columns([id_col, vec_col])
-        cent = _fit_centroids_bounded(src, k, iters, id_col, vec_col,
-                                      fit_sample_n)
-    cref = ray.put(cent)
+    from ..functions.parts import top_n
+    src = ds.select_columns([id_col, vec_col])
+    cref = ray.put(_fit_centroids_bounded(src, k, iters, id_col, vec_col,
+                                          fit_sample_n))
 
-    _empty = pa.schema([(id_col, pa.int64()), ("cluster", pa.int64()),
-                        ("dist", pa.int64())])
-
-    def local(batch: pa.Table, *, cent_ref) -> pa.Table:
-        c = ray.get(cent_ref) if isinstance(
-            cent_ref, ray.ObjectRef) else cent_ref
-        if batch.num_rows == 0:
-            return _empty.empty_table()
+    def score(batch: pa.Table) -> pa.Table:
+        c = ray.get(cref)
         q = _quantize(batch, vec_col)
         a = _assign(q, c)
         diff = q - c[a]
-        dist = np.einsum("ij,ij->i", diff, diff)
-        ids = pc.cast(batch.column(id_col), pa.int64()).to_numpy(
-            zero_copy_only=False)
-        order = np.lexsort((ids, -dist))[:n]
-        return pa.table({id_col: pa.array(ids[order]),
-                         "cluster": pa.array(a[order]),
-                         "dist": pa.array(dist[order])})
+        return pa.table({
+            id_col: pc.cast(batch.column(id_col), pa.int64()),
+            "cluster": pa.array(a),
+            "dist": pa.array(np.einsum("ij,ij->i", diff, diff))})
 
-    parts = [t for t in ray.get(arrow_block_refs(
-        src.map_batches(local, batch_format="pyarrow",
-                        zero_copy_batch=True,
-                        fn_kwargs={"cent_ref": cref}))) if t.num_rows]
-    if not parts:
-        return _empty.empty_table()
-    merged = pa.concat_tables([t.cast(_empty) for t in parts])
-    ids = merged.column(id_col).to_numpy(zero_copy_only=False)
-    dist = merged.column("dist").to_numpy(zero_copy_only=False)
-    return merged.take(pa.array(np.lexsort((ids, -dist))[:n]))
+    return top_n(src.map_batches(score, batch_format="pyarrow",
+                                 zero_copy_batch=True),
+                 n, [("dist", "descending"), (id_col, "ascending")],
+                 schema=pa.schema([(id_col, pa.int64()),
+                                   ("cluster", pa.int64()),
+                                   ("dist", pa.int64())]))

@@ -10,15 +10,13 @@ merged centrally, LogHarvesterTask.java:446-452) applied to moment
 statistics.
 
 Scale shape (100 TB corpus):
-  - Fit is combiner-only: each block contributes one (1, d, d*d)
-    integer partial — a few KiB — merged on the driver.  Nothing
-    all-pairs, no shuffle, no materialization beyond the narrow
-    (id, vector) projection cached once (the k-means block-cache
-    pattern, ops/cluster.py).
+  - Fit is combiner-only: each batch contributes one (1, d, d*d)
+    integer partial — a few KiB — tree-merged before the driver.
+    Nothing all-pairs, no shuffle, nothing materialized.
   - The eigendecomposition runs on the driver over the d x d moment
     matrix (d = embedding dim, hundreds at most) — O(d^3) once,
     independent of corpus size.
-  - Projection is a pure map over the cached blocks.
+  - Projection is a pure map over the input lineage.
 
 Determinism (pinned-golden checkable, like ops/cluster.py): vectors
 are quantized once (round(x * 2^20) -> int64); the count/sum/moment
@@ -48,16 +46,17 @@ from .cluster import KMEANS_SCALE as PCA_SCALE
 from .cluster import _quantize
 
 
-def _moment_tuple(tbl: pa.Table, vec_col: str):
-    """(n, sum, raw second moment) of the quantized block — the
-    fixed-size integer partial, SHARED by the block-ref remote and
-    the streaming map so the overflow argument lives in one place.
-    The moment is accumulated per 64k-row chunk (int64 matmul,
-    < 2^58 per chunk) into a python-int array, so the partial stays
-    exact for blocks of ANY size."""
-    if tbl.num_rows == 0:
-        return None
-    q = _quantize(tbl, vec_col)
+def _moment_rows(batch: pa.Table, vec_col: str) -> pa.Table:
+    """Streaming per-batch moment partial: (n, sum, raw second moment)
+    of the quantized batch, pickled into ONE binary row — n_blocks tiny
+    rows reach the driver; the corpus never does.  The moment is
+    accumulated per 64k-row chunk (int64 matmul, < 2^58 per chunk)
+    into a python-int array, so the partial stays exact for batches of
+    ANY size."""
+    import pickle
+    if batch.num_rows == 0:
+        return pa.table({"blob": pa.array([], pa.binary())})
+    q = _quantize(batch, vec_col)
     n, dim = q.shape
     ss = np.zeros((dim, dim), dtype=object)
     for i in range(0, n, 65536):
@@ -65,24 +64,7 @@ def _moment_tuple(tbl: pa.Table, vec_col: str):
         ss += c.T @ c
     # int64 row-sum is exact for any feasible block (|q| < 2^21 ->
     # overflow needs > 2^42 rows); widen to python ints once after
-    return (n, q.sum(axis=0).astype(object), ss)
-
-
-@ray.remote
-def _moment_part(tbl: pa.Table, vec_col: str):
-    return _moment_tuple(tbl, vec_col)
-
-
-def _moment_rows(batch: pa.Table, vec_col: str) -> pa.Table:
-    """Streaming per-batch moment partial — the map_batches mirror of
-    _moment_part: (n, sum, raw second moment) with the moment in
-    python ints (overflow-free for batches of any size), pickled into
-    ONE binary row.  n_blocks tiny rows reach the driver; the corpus
-    never does."""
-    import pickle
-    part = _moment_tuple(batch, vec_col)
-    if part is None:
-        return pa.table({"blob": pa.array([], pa.binary())})
+    part = (n, q.sum(axis=0).astype(object), ss)
     return pa.table({"blob": pa.array([pickle.dumps(part, protocol=4)],
                                       pa.binary())})
 
@@ -127,18 +109,9 @@ def _fit_components_ds(ds: ray.data.Dataset, d_out: int, vec_col: str):
         [pickle.loads(r["blob"]) for r in rows.take_all()], d_out)
 
 
-def _fit_components(refs: list, d_out: int, vec_col: str):
-    """Exact-integer moment merge -> covariance eigh -> top d_out
-    components re-quantized to int64.  Returns (mu int64[d],
-    Wq int64[d, d_out])."""
-    parts = [p for p in ray.get(
-        [_moment_part.remote(r, vec_col) for r in refs]) if p is not None]
-    return _merge_components(parts, d_out)
-
-
 def _merge_components(parts: list, d_out: int):
-    """Driver merge shared by the block-ref and streaming fits:
-    python-int accumulation (associative + commutative exact sums, so
+    """Driver merge of the streaming fit's partials: python-int
+    accumulation (associative + commutative exact sums, so
     merge order never matters) -> covariance -> eigh -> deterministic
     sign convention."""
     if not parts:

@@ -113,9 +113,9 @@ def quantize_digest(ds: ray.data.Dataset, id_col: str = "vec_id",
 # Product quantization (PQ): the vector-compression half of the
 # standard IVF+PQ recipe for billion-scale ANN.  The dim axis splits
 # into m contiguous subspaces; each learns its own k-code codebook
-# with the SAME integer-exact Lloyd machinery as ops/cluster.py (one
-# task per cached block per pass, all m subspaces' partials computed
-# in that one task; only m x k x d_sub integer rows cross the wire).
+# with the SAME integer-exact Lloyd recursion as ops/cluster.py, run
+# driver-local over the same bounded md5-rank sample (FIT_SAMPLE_N
+# rows) — nothing pinned in the object store.
 # A 64-dim float vector becomes m uint8 codes — 64x smaller — and
 # queries scan codes with an ADC lookup-table sum (no float math in
 # the hot loop).  Vectors are L2-normalized BEFORE quantization so
@@ -125,7 +125,7 @@ def quantize_digest(ds: ray.data.Dataset, id_col: str = "vec_id",
 # safe).
 # ---------------------------------------------------------------------
 
-from ..functions.parts import arrow_block_refs as _block_refs  # noqa: E402
+from ..functions.parts import top_n  # noqa: E402
 
 
 def _unit_quantize(batch: pa.Table, vec_col: str) -> np.ndarray:
@@ -139,70 +139,42 @@ def _unit_quantize(batch: pa.Table, vec_col: str) -> np.ndarray:
                    * KMEANS_SCALE).astype(np.int64)
 
 
-@ray.remote
-def _pq_part(tbl: pa.Table, cb: np.ndarray, vec_col: str):
-    """One block's Lloyd partials for ALL m subspaces: per subspace
-    (cluster ids, counts, integer sums) — m x k rows total."""
-    from .cluster import _assign
-    if tbl.num_rows == 0:
-        return None
-    q = _unit_quantize(tbl, vec_col)
-    m, k, dsub = cb.shape
-    outs = []
-    for s in range(m):
-        qs = np.ascontiguousarray(q[:, s * dsub:(s + 1) * dsub])
-        a = _assign(qs, cb[s])
-        order = np.argsort(a, kind="stable")
-        a_s, q_s = a[order], qs[order]
-        starts = np.flatnonzero(np.r_[True, a_s[1:] != a_s[:-1]])
-        outs.append((a_s[starts],
-                     np.diff(np.r_[starts, len(a_s)]).astype(np.int64),
-                     np.add.reduceat(q_s, starts, axis=0)))
-    return outs
-
-
 def pq_train(ds: ray.data.Dataset, m: int = 4, k: int = 16,
              iters: int = 4, id_col: str = "vec_id",
-             vec_col: str = "embedding"):
-    """Learn the (m, k, d/m) int64 PQ codebook.  Returns
-    (codebook, cached_dataset) — the cached narrow projection is
-    returned so encode/search reuse it without re-reading parquet."""
-    from .cluster import _cached_blocks, _seed_centroids
-    mat, refs = _cached_blocks(ds, id_col, vec_col)
-    # seeds: the k smallest-(md5(id), id) rows' subvectors, unit-space
-    seeds_full = _seed_centroids(refs, k, id_col, vec_col)
+             vec_col: str = "embedding") -> np.ndarray:
+    """Learn the (m, k, d/m) int64 PQ codebook on the k-means fit
+    sample (ops/cluster: the FIT_SAMPLE_N smallest (md5(id), id) rows,
+    one streaming rank pass + one gather pass).  Corpora of at most
+    FIT_SAMPLE_N vectors are sampled WHOLE, so their codebook is the
+    full-corpus fit; above that, PQ trains on the deterministic
+    sample, as coarse_centroids does for IVF.
+
+    Seeds: the k smallest-(md5(id), id) rows, quantized, normalized,
+    re-quantized; each subspace then runs `iters` passes of the one
+    integer Lloyd recursion (cluster._lloyd) over the unit-quantized
+    sample."""
+    from .cluster import (FIT_SAMPLE_N, KMEANS_SCALE, _lloyd, _quantize,
+                          _rank_sample_table, _seed_rows)
+    sample = _rank_sample_table(ds.select_columns([id_col, vec_col]),
+                                max(FIT_SAMPLE_N, k), id_col, vec_col)
+    seeds_full = _quantize(sample, vec_col)[_seed_rows(sample, k, id_col)]
     d = seeds_full.shape[1]
     if d % m:
         raise ValueError(f"dim {d} not divisible by m={m}")
     dsub = d // m
-    # _seed_centroids quantizes UNnormalized rows; re-derive the unit
-    # seeds by normalizing the float view (same rows, deterministic)
-    from .cluster import KMEANS_SCALE
     f = seeds_full.astype(np.float64) / KMEANS_SCALE
     n = np.linalg.norm(f, axis=1, keepdims=True)
     n[n == 0.0] = 1.0
     seeds = np.rint((f / n) * KMEANS_SCALE).astype(np.int64)
-    cb = np.stack([np.ascontiguousarray(seeds[:, s * dsub:(s + 1) * dsub])
-                   for s in range(m)])
-    for _ in range(iters):
-        cref = ray.put(cb)
-        parts = [p for p in ray.get(
-            [_pq_part.remote(r, cref, vec_col) for r in refs])
-            if p is not None]
-        S = np.zeros((m, k, dsub), dtype=np.int64)
-        N = np.zeros((m, k), dtype=np.int64)
-        for blk in parts:
-            for s, (cl, cnt, sums) in enumerate(blk):
-                N[s, cl] += cnt
-                S[s, cl] += sums
-        cb = cb.copy()
-        for s in range(m):
-            nz = N[s] > 0
-            cb[s, nz] = S[s, nz] // N[s, nz, None]
-    return cb, mat
+    q = _unit_quantize(sample, vec_col)
+    return np.stack([
+        _lloyd(np.ascontiguousarray(q[:, s * dsub:(s + 1) * dsub]),
+               np.ascontiguousarray(seeds[:, s * dsub:(s + 1) * dsub]),
+               iters)
+        for s in range(m)])
 
 
-def pq_encode(mat: ray.data.Dataset, cb: np.ndarray,
+def pq_encode(ds: ray.data.Dataset, cb: np.ndarray,
               id_col: str = "vec_id",
               vec_col: str = "embedding") -> ray.data.Dataset:
     """(id, code_0..code_{m-1} uint8) — the 64x-compressed corpus."""
@@ -222,19 +194,18 @@ def pq_encode(mat: ray.data.Dataset, cb: np.ndarray,
                 _assign(qs, c[s]).astype(np.uint8), pa.uint8())
         return pa.table(cols)
 
-    return mat.map_batches(encode, batch_format="pyarrow",
-                           zero_copy_batch=True,
-                           fn_kwargs={"cb_ref": cref})
+    return ds.map_batches(encode, batch_format="pyarrow",
+                          zero_copy_batch=True,
+                          fn_kwargs={"cb_ref": cref})
 
 
 def pq_topk(codes: ray.data.Dataset, cb: np.ndarray, query: np.ndarray,
-            k: int = 10, id_col: str = "vec_id") -> ray.data.Dataset:
+            k: int = 10, id_col: str = "vec_id") -> pa.Table:
     """ADC top-k over the PQ codes: the (m x k_codes) query-to-
     centroid distance table computes ONCE on the driver; each batch
     scores rows with m uint8-indexed gathers + an int64 sum — no
-    float ops, no decompression.  Local top-k per block, k-row merge
-    (the brute_force_topk shape).  Ascending distance, ties to the
-    lowest id."""
+    float ops, no decompression — and `top_n` keeps the k nearest.
+    (id, dist) sorted by ascending distance, ties to the lowest id."""
     m, kc, dsub = cb.shape
     from .cluster import KMEANS_SCALE
     q = np.asarray(query, dtype=np.float64)
@@ -245,31 +216,22 @@ def pq_topk(codes: ray.data.Dataset, cb: np.ndarray, query: np.ndarray,
         diff = cb[s] - qi[s * dsub:(s + 1) * dsub][None, :]
         table[s] = np.einsum("kd,kd->k", diff, diff)
 
-    def local(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "dist": pa.array([], pa.int64())})
+    def score(batch: pa.Table) -> pa.Table:
         d = np.zeros(batch.num_rows, dtype=np.int64)
         for s in range(m):
             d += table[s][batch.column(f"code_{s}").to_numpy(
                 zero_copy_only=False)]
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, d))[:k]
-        return pa.table({id_col: pa.array(ids[order].astype(np.int64)),
-                         "dist": pa.array(d[order], pa.int64())})
+        return pa.table({id_col: pa.array(batch.column(id_col).to_numpy(
+            zero_copy_only=False).astype(np.int64)), "dist": pa.array(d)})
 
-    local_tops = codes.map_batches(local, batch_format="pyarrow",
-                                   zero_copy_batch=True)
+    return top_n(codes.map_batches(score, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                 k, [("dist", "ascending"), (id_col, "ascending")],
+                 schema=_adc_schema(id_col))
 
-    def merge(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        d = batch.column("dist").to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, d))[:k]
-        return pa.table({id_col: pa.array(ids[order].astype(np.int64)),
-                         "dist": pa.array(d[order], pa.int64())})
 
-    return local_tops.repartition(1).map_batches(
-        merge, batch_format="pyarrow", batch_size=None)
+def _adc_schema(id_col: str) -> pa.Schema:
+    return pa.schema([(id_col, pa.int64()), ("dist", pa.int64())])
 
 
 def build_ivfpq_index(ds: ray.data.Dataset, index_dir: str,
@@ -286,14 +248,14 @@ def build_ivfpq_index(ds: ray.data.Dataset, index_dir: str,
     Artifacts under index_dir: `_centroids.npy` + `_codebook.npy`
     ("_" prefix: invisible to parquet dataset discovery) and one
     parquet partition per list_id.  Everything is deterministic
-    (lowest-id coarse sample, integer-exact PQ Lloyd), so the index is
-    byte-reproducible at any parallelism."""
+    (lowest-id coarse sample, integer-exact PQ Lloyd on the md5-rank
+    sample), so the index is byte-reproducible at any parallelism."""
     import os
     from .similarity import coarse_centroids, _as_matrix, _normalize
     from .cluster import _assign
     cent = coarse_centroids(ds, n_lists, id_col=id_col, vec_col=vec_col)
-    cb, mat = pq_train(ds, m=m, k=k_codes, iters=iters_pq,
-                       id_col=id_col, vec_col=vec_col)
+    cb = pq_train(ds, m=m, k=k_codes, iters=iters_pq, id_col=id_col,
+                  vec_col=vec_col)
     os.makedirs(index_dir, exist_ok=True)
     np.save(os.path.join(index_dir, "_centroids.npy"), cent)
     np.save(os.path.join(index_dir, "_codebook.npy"), cb)
@@ -317,15 +279,16 @@ def build_ivfpq_index(ds: ray.data.Dataset, index_dir: str,
         cols["list_id"] = pa.array(lid)
         return pa.table(cols)
 
-    mat.map_batches(rows, batch_format="pyarrow", zero_copy_batch=True,
-                    fn_kwargs={"ref": cref}).write_parquet(
+    ds.select_columns([id_col, vec_col]).map_batches(
+        rows, batch_format="pyarrow", zero_copy_batch=True,
+        fn_kwargs={"ref": cref}).write_parquet(
         index_dir, partition_cols=["list_id"])
     return cent, cb
 
 
 def ivfpq_topk(index_dir: str, query: np.ndarray, k: int = 10,
                n_probe: int = 4,
-               id_col: str = "vec_id") -> ray.data.Dataset:
+               id_col: str = "vec_id") -> pa.Table:
     """Query a persisted IVF+PQ index: rank coarse centroids by cosine,
     read ONLY the n_probe nearest partitions AND only the uint8 code
     columns, ADC-score them against the driver-computed lookup table.
@@ -343,9 +306,7 @@ def ivfpq_topk(index_dir: str, query: np.ndarray, k: int = 10,
         paths.extend(sorted(glob.glob(
             os.path.join(index_dir, f"list_id={int(p)}", "*.parquet"))))
     if not paths:
-        return ray.data.from_arrow(pa.table(
-            {id_col: pa.array([], pa.int64()),
-             "dist": pa.array([], pa.int64())}))
+        return _adc_schema(id_col).empty_table()
     m = cb.shape[0]
     codes = ray.data.read_parquet(
         paths, columns=[id_col] + [f"code_{s}" for s in range(m)])

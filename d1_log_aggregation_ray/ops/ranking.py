@@ -18,8 +18,7 @@ Scale shape (100 TB corpus):
     rule, ops/dedup.py).
   - Corpus stats merge on the driver (one tiny row per input block).
   - Scoring is a map over the cached candidate blocks with the
-    (N, avgdl, idf) broadcast; each block contributes a local top-k,
-    and the driver merges k-row partials (the brute_force_topk shape).
+    (N, avgdl, idf) broadcast, reduced by `functions.parts.top_n`.
     No shuffle anywhere.
   - Caveat for UBIQUITOUS query terms ("the"): the candidate stream
     approaches corpus row count — still only (2+m) int64 columns per
@@ -44,6 +43,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from ..functions.parts import top_n
+
 BM25_K1 = 1.2
 BM25_B = 0.75
 
@@ -62,7 +63,7 @@ def bm25_topk(ds: ray.data.Dataset, terms: list[str], k: int = 10,
     m = len(terms)
     tf_names = [f"tf{j}" for j in range(m)]
     schema_cols = [id_col, "dl"] + tf_names
-    term_arr = pa.array(terms, pa.string())
+    out = pa.schema([(id_col, pa.int64()), ("score", pa.float64())])
 
     def _empty() -> pa.Table:
         return pa.table({c: pa.array([], pa.int64()) for c in schema_cols})
@@ -114,21 +115,17 @@ def bm25_topk(ds: ray.data.Dataset, terms: list[str], k: int = 10,
         batch_format="pyarrow", zero_copy_batch=True).take_all()
     n_docs = sum(-(r[id_col]) - 1 for r in sent)
     if n_docs == 0:
-        return pa.table({id_col: pa.array([], pa.int64()),
-                         "score": pa.array([], pa.float64())})
+        return out.empty_table()
     avgdl = float(sum(r["dl"] for r in sent)) / n_docs
     idf = np.array([np.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
                     for df in (sum(r[nm] for r in sent)
                                for nm in tf_names)])
     bref = ray.put((avgdl, idf))
 
-    def local_topk(batch: pa.Table, *, broadcast) -> pa.Table:
+    def bm25(batch: pa.Table, *, broadcast) -> pa.Table:
         ad, w = ray.get(broadcast) if isinstance(
             broadcast, ray.ObjectRef) else broadcast
         t = batch.filter(pc.greater_equal(batch.column(id_col), 0))
-        if t.num_rows == 0:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "score": pa.array([], pa.float64())})
         dl = t.column("dl").to_numpy(zero_copy_only=False)
         score = np.zeros(t.num_rows, dtype=np.float64)
         for j, nm in enumerate(tf_names):
@@ -137,16 +134,10 @@ def bm25_topk(ds: ray.data.Dataset, terms: list[str], k: int = 10,
             # EXACT oracle association order (see module docstring)
             score = score + w[j] * (tf * (BM25_K1 + 1.0)) / (
                 tf + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / ad))
-        score = _round6(score)
-        ids = t.column(id_col).to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, -score))[:k]
-        return pa.table({id_col: pa.array(ids[order]),
-                         "score": pa.array(score[order])})
+        return pa.table({id_col: t.column(id_col),
+                         "score": pa.array(_round6(score))})
 
-    local = narrow.map_batches(local_topk, batch_format="pyarrow",
-                               fn_kwargs={"broadcast": bref}).take_all()
-    ids = np.array([r[id_col] for r in local], dtype=np.int64)
-    scores = np.array([r["score"] for r in local])
-    order = np.lexsort((ids, -scores))[:k]
-    return pa.table({id_col: pa.array(ids[order]),
-                     "score": pa.array(scores[order])})
+    return top_n(narrow.map_batches(bm25, batch_format="pyarrow",
+                                    fn_kwargs={"broadcast": bref}),
+                 k, [("score", "descending"), (id_col, "ascending")],
+                 schema=out)

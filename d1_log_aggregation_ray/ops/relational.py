@@ -346,35 +346,6 @@ def value_quantiles(ds: ray.data.Dataset, val_col: str,
                      "value": pa.array(vals, pa.int64())})
 
 
-def global_topk(ds: ray.data.Dataset, order_col: str, k: int,
-                tie_col: str) -> pa.Table:
-    """Global top-k rows by (order_col DESC, tie_col ASC) WITHOUT a
-    global sort: each block keeps its local top-k (one vectorized
-    lexsort), only k-row partials reach the driver, one final lexsort
-    picks the answer — the `brute_force_topk` merge shape.  tie_col
-    must be unique (a key) so the result is deterministic."""
-
-    def local(batch: pa.Table) -> pa.Table:
-        if batch.num_rows <= k:
-            return batch
-        v = batch.column(order_col).to_numpy(zero_copy_only=False)
-        t = batch.column(tie_col).to_numpy(zero_copy_only=False)
-        return batch.take(pa.array(np.lexsort((t, -v))[:k]))
-
-    parts = [t for t in ray.get(arrow_block_refs(
-        ds.map_batches(local, batch_format="pyarrow",
-                       zero_copy_batch=True)))
-        if t.num_rows]
-    if not parts:
-        sch = ds.schema()
-        base = getattr(sch, "base_schema", sch)
-        return base.empty_table()
-    merged = pa.concat_tables(parts, promote_options="default")
-    v = merged.column(order_col).to_numpy(zero_copy_only=False)
-    t = merged.column(tie_col).to_numpy(zero_copy_only=False)
-    return merged.take(pa.array(np.lexsort((t, -v))[:k]))
-
-
 def anti_join_keys(left: ray.data.Dataset, right: ray.data.Dataset,
                    left_key: str, right_key: str) -> ray.data.Dataset:
     """Distributed ANTI join: left rows whose key has NO match on the

@@ -1,8 +1,9 @@
 """Similarity search over an embedding column (list<float>).
 
 - brute_force_topk: the exact baseline — per-batch numpy matmul against
-  a broadcast query matrix, local top-k per batch, then a single small
-  merge.  No global sort: the reduce sees only k rows per batch.
+  a broadcast query matrix; the scored (id, score) rows go through
+  `functions.parts.top_n` (per-block cut, bounded merge tree).  No
+  global sort.
 - lsh_topk: scan-time prefilter — random-hyperplane bucket assignment;
   candidates searched only within the query's bucket (and its 1-bit
   neighbors); empty probed buckets return an empty result (the
@@ -23,6 +24,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..functions.parts import top_n
+
 
 def _as_matrix(batch: pa.Table, vec_col: str) -> np.ndarray:
     col = batch.column(vec_col).combine_chunks()
@@ -38,6 +41,16 @@ def _normalize(m: np.ndarray) -> np.ndarray:
     return m / n
 
 
+def _scored(id_col: str) -> pa.Schema:
+    return pa.schema([(id_col, pa.int64()), ("score", pa.float64())])
+
+
+def _by_score(id_col: str) -> list:
+    """top_n key of every cosine search: score desc, ties to the lower
+    id — the oracle's ORDER BY score DESC, id."""
+    return [("score", "descending"), (id_col, "ascending")]
+
+
 def brute_force_topk(ds: ray.data.Dataset, query: np.ndarray, k: int = 10,
                      id_col: str = "vec_id",
                      vec_col: str = "embedding") -> pa.Table:
@@ -47,25 +60,15 @@ def brute_force_topk(ds: ray.data.Dataset, query: np.ndarray, k: int = 10,
     q = q / (np.linalg.norm(q) or 1.0)
     qref = ray.put(q)
 
-    def local_topk(batch: pa.Table) -> pa.Table:
-        qv = ray.get(qref)
+    def score(batch: pa.Table) -> pa.Table:
         m = _normalize(_as_matrix(batch, vec_col))
-        scores = m @ qv
-        ids = batch.column(id_col).to_numpy()
-        # deterministic tie-break (-score, id) BEFORE truncating to k:
-        # argpartition would keep an arbitrary subset of boundary ties,
-        # diverging from the oracle's ORDER BY score DESC, id
-        order = np.lexsort((ids, -scores))[:k]
-        return pa.table({id_col: pa.array(ids[order]),
-                         "score": pa.array(scores[order])})
+        return pa.table({
+            id_col: pa.array(batch.column(id_col).to_numpy(), pa.int64()),
+            "score": pa.array(m @ ray.get(qref))})
 
-    local = ds.map_batches(local_topk, batch_format="pyarrow",
-                           batch_size=4096).take_all()
-    ids = np.array([r[id_col] for r in local])
-    scores = np.array([r["score"] for r in local])
-    order = np.lexsort((ids, -scores))[:k]
-    return pa.table({id_col: pa.array(ids[order]),
-                     "score": pa.array(scores[order])})
+    return top_n(ds.map_batches(score, batch_format="pyarrow",
+                                batch_size=4096),
+                 k, _by_score(id_col), schema=_scored(id_col))
 
 
 def coarse_centroids(ds: ray.data.Dataset, n_lists: int = 64,
@@ -78,29 +81,12 @@ def coarse_centroids(ds: ray.data.Dataset, n_lists: int = 64,
     init, fixed iteration count — identical across runs and cluster
     sizes."""
 
-    def local_smallest(batch: pa.Table) -> pa.Table:
-        ids_ = batch.column(id_col).to_numpy()
-        order = np.argsort(ids_)[:sample_n]
-        return batch.take(pa.array(order))
-
-    # lowest-`sample_n` ids WITHOUT a global sort (round-2 review: the
-    # old sort(id).limit(n) exchanged the full id+vector corpus to keep
-    # 20k rows): per-batch smallest-n partials, two coalescing
-    # tree-reduce levels (Ray concatenates the small partial blocks
-    # into ~8n-row batches), then a driver merge of the tiny remainder.
-    # Each level keeps every row that could be in the global smallest
-    # n, so the result is bit-identical to the sorted formulation.
-    sample = ds.select_columns([id_col, vec_col]).map_batches(
-        local_smallest, batch_format="pyarrow")
-    for _ in range(2):
-        sample = sample.map_batches(local_smallest, batch_format="pyarrow",
-                                    batch_size=8 * sample_n)
-    sample_tbl = sample.take_all()
-    ids = np.array([r[id_col] for r in sample_tbl])
-    order = np.argsort(ids)[:sample_n]
-    ids = ids[order]
-    m = _normalize(np.array([r[vec_col] for r in sample_tbl],
-                            dtype=np.float64)[order])
+    # lowest-`sample_n` ids WITHOUT a global sort: top_n's per-block
+    # cut + bounded merge tree keeps every row that could be in the
+    # global smallest n, so the result is the sorted formulation's
+    sample = top_n(ds.select_columns([id_col, vec_col]), sample_n,
+                   [(id_col, "ascending")])
+    m = _normalize(_as_matrix(sample, vec_col))
     n_lists = min(n_lists, len(m))
     rng = np.random.RandomState(23)
     cent = m[rng.choice(len(m), size=n_lists, replace=False)]
@@ -283,28 +269,19 @@ def lsh_topk(ds: ray.data.Dataset, query: np.ndarray, k: int = 10,
         sigs = ((m @ pl.T) > 0).astype(np.uint32) @ (
             1 << np.arange(n_planes, dtype=np.uint32))
         mask = np.isin(sigs, list(want))
-        ids = batch.column(id_col).to_numpy()[mask]
-        scores = (m[mask] @ qv)
-        order = np.lexsort((ids, -scores))[:k]  # deterministic ties
-        return pa.table({id_col: pa.array(ids[order]),
-                         "score": pa.array(scores[order])})
+        return pa.table({
+            id_col: pa.array(batch.column(id_col).to_numpy()[mask],
+                             pa.int64()),
+            "score": pa.array(m[mask] @ qv)})
 
-    local = ds.map_batches(candidates, batch_format="pyarrow",
-                           batch_size=4096).take_all()
-    if not local:
-        # empty candidate set (no vector in the query's bucket or its
-        # 1-bit neighbors): return EMPTY rather than silently falling
-        # back to a full brute-force scan — the approximate contract
-        # (and the generated SQL oracle, which filters sig IN (...))
-        # is "search the probed buckets only"; callers wanting exact
-        # results use brute_force_topk or the IVF index
-        return pa.table({id_col: pa.array([], pa.int64()),
-                         "score": pa.array([], pa.float64())})
-    ids = np.array([r[id_col] for r in local])
-    scores = np.array([r["score"] for r in local])
-    order = np.lexsort((ids, -scores))[:k]
-    return pa.table({id_col: pa.array(ids[order]),
-                     "score": pa.array(scores[order])})
+    # an empty candidate set (no vector in the probed buckets) yields
+    # an EMPTY result, never a brute-force fallback: the approximate
+    # contract (and the generated SQL oracle, which filters
+    # sig IN (...)) is "search the probed buckets only"; callers
+    # wanting exact results use brute_force_topk or the IVF index
+    return top_n(ds.map_batches(candidates, batch_format="pyarrow",
+                                batch_size=4096),
+                 k, _by_score(id_col), schema=_scored(id_col))
 
 
 def brute_force_multi_topk(ds: ray.data.Dataset, queries: np.ndarray,
@@ -317,47 +294,10 @@ def brute_force_multi_topk(ds: ray.data.Dataset, queries: np.ndarray,
 
     Scale shape: the (Q, d) query matrix is ray.put ONCE and read by
     every map task (broadcast, never per batch); each batch does one
-    (batch, d) x (d, Q) matmul and keeps its local top-k PER QUERY, so
-    the driver merge sees only Q*k rows per batch regardless of corpus
-    size.  Q*k*n_blocks must fit the driver — the same contract as
-    brute_force_topk, documented here because Q multiplies it."""
-    qm = queries.astype(np.float64)
-    qm = _normalize(qm)
-    qref = ray.put(qm)
-    nq = qm.shape[0]
-
-    def local_topk(batch: pa.Table) -> pa.Table:
-        qv = ray.get(qref)
-        m = _normalize(_as_matrix(batch, vec_col))
-        scores = m @ qv.T                      # (rows, Q)
-        ids = batch.column(id_col).to_numpy()
-        kk = min(k, len(ids))
-        out_q = np.repeat(np.arange(qv.shape[0], dtype=np.int64), kk)
-        picks = np.empty(qv.shape[0] * kk, dtype=np.int64)
-        for qi in range(qv.shape[0]):          # Q is small; rows vector-scored
-            picks[qi * kk:(qi + 1) * kk] = np.lexsort(
-                (ids, -scores[:, qi]))[:kk]
-        return pa.table({
-            "q_idx": pa.array(out_q),
-            id_col: pa.array(ids[picks]),
-            "score": pa.array(scores[picks, out_q]),
-        })
-
-    local = ds.map_batches(local_topk, batch_format="pyarrow",
-                           batch_size=4096).take_all()
-    qi = np.array([r["q_idx"] for r in local], dtype=np.int64)
-    ids = np.array([r[id_col] for r in local])
-    sc = np.array([r["score"] for r in local])
-    outs = []
-    for q in range(nq):
-        sel = qi == q
-        order = np.lexsort((ids[sel], -sc[sel]))[:k]
-        outs.append(pa.table({
-            "q_idx": pa.array(np.full(len(order), q, np.int64)),
-            id_col: pa.array(ids[sel][order]),
-            "score": pa.array(sc[sel][order]),
-        }))
-    return pa.concat_tables(outs)
+    (batch, d) x (d, Q) matmul, and `top_n(per="q_idx")` keeps k rows
+    per query per block and bounds the driver merge at k * Q * FAN_IN
+    rows at any corpus size."""
+    return _multi_topk(ds, queries, None, k, id_col, vec_col, None)
 
 
 def hard_negative_topk(ds: ray.data.Dataset, queries: np.ndarray,
@@ -370,52 +310,37 @@ def hard_negative_topk(ds: ray.data.Dataset, queries: np.ndarray,
     query's (the most-confusable out-of-class neighbors).  Returns
     (q_idx, id, score), k per query, sorted by (q_idx, -score, id).
 
-    Same scale shape as brute_force_multi_topk — the (Q, d) query
-    matrix + Q labels broadcast once via ray.put, per-batch matmul,
-    same-label columns masked to -inf BEFORE the local top-k, driver
-    merge sees Q*k rows per batch."""
-    qm = _normalize(queries.astype(np.float64))
-    ql = np.asarray(q_labels)
-    ref = ray.put((qm, ql))
-    nq = qm.shape[0]
+    brute_force_multi_topk's scan with the Q labels broadcast beside
+    the query matrix: in-class (row, query) pairs are dropped before
+    the cut."""
+    return _multi_topk(ds, queries, np.asarray(q_labels), k, id_col,
+                       vec_col, label_col)
 
-    def local_topk(batch: pa.Table) -> pa.Table:
+
+def _multi_topk(ds, queries, q_labels, k, id_col, vec_col, label_col):
+    """One scoring kernel for the batched searches: every (row, query)
+    cosine, minus same-label pairs when `q_labels` is given, cut to k
+    per query by top_n."""
+    ref = ray.put((_normalize(queries.astype(np.float64)), q_labels))
+
+    def score(batch: pa.Table) -> pa.Table:
         qv, qlab = ray.get(ref)
-        m = _normalize(_as_matrix(batch, vec_col))
-        scores = m @ qv.T                          # (rows, Q)
-        labels = batch.column(label_col).to_numpy(zero_copy_only=False)
-        # mask in-class rows per query (broadcasted equality)
-        scores[labels[:, None] == qlab[None, :]] = -np.inf
+        sc = _normalize(_as_matrix(batch, vec_col)) @ qv.T   # (rows, Q)
+        keep = np.ones(sc.shape, dtype=bool)
+        if qlab is not None:
+            labels = batch.column(label_col).to_numpy(zero_copy_only=False)
+            keep = labels[:, None] != qlab[None, :]
+        row, q = np.nonzero(keep)
         ids = batch.column(id_col).to_numpy()
-        kk = min(k, len(ids))
-        out_q = np.repeat(np.arange(qv.shape[0], dtype=np.int64), kk)
-        picks = np.empty(qv.shape[0] * kk, dtype=np.int64)
-        for qi in range(qv.shape[0]):
-            picks[qi * kk:(qi + 1) * kk] = np.lexsort(
-                (ids, -scores[:, qi]))[:kk]
-        t = pa.table({
-            "q_idx": pa.array(out_q),
-            id_col: pa.array(ids[picks]),
-            "score": pa.array(scores[picks, out_q]),
-        })
-        return t.filter(pa.array(np.isfinite(
-            scores[picks, out_q])))           # drop masked placeholders
+        return pa.table({"q_idx": pa.array(q.astype(np.int64)),
+                         id_col: pa.array(ids[row], pa.int64()),
+                         "score": pa.array(sc[row, q])})
 
-    local = ds.map_batches(local_topk, batch_format="pyarrow",
-                           batch_size=4096).take_all()
-    qi = np.array([r["q_idx"] for r in local], dtype=np.int64)
-    ids = np.array([r[id_col] for r in local])
-    sc = np.array([r["score"] for r in local])
-    outs = []
-    for q in range(nq):
-        sel = qi == q
-        order = np.lexsort((ids[sel], -sc[sel]))[:k]
-        outs.append(pa.table({
-            "q_idx": pa.array(np.full(len(order), q, np.int64)),
-            id_col: pa.array(ids[sel][order]),
-            "score": pa.array(sc[sel][order]),
-        }))
-    return pa.concat_tables(outs)
+    return top_n(ds.map_batches(score, batch_format="pyarrow",
+                                batch_size=4096),
+                 k, _by_score(id_col), per="q_idx",
+                 schema=pa.schema([("q_idx", pa.int64()),
+                                   *_scored(id_col)]))
 
 
 def lsh_planes(n_planes: int, dim: int, seed: int = 11) -> np.ndarray:

@@ -117,6 +117,21 @@ def shuffle_shards(ds: ray.data.Dataset, id_col: str = "doc_id",
         rank, batch_format="pyarrow")
 
 
+def _source_sums(partials: ray.data.Dataset, source_col: str,
+                 col: str) -> dict:
+    """{source: sum of `col`} over per-block (source, col) partials —
+    each block is already collapsed to <= |sources| rows, so the
+    driver merges n_blocks x |sources| rows."""
+    from ..functions.parts import arrow_block_refs
+    blocks = [t for t in ray.get(arrow_block_refs(partials)) if t.num_rows]
+    if not blocks:
+        return {}
+    g = pa.concat_tables(blocks).group_by([source_col]).aggregate(
+        [(col, "sum")])
+    return dict(zip(g.column(source_col).to_pylist(),
+                    g.column(f"{col}_sum").to_pylist()))
+
+
 def mixture_sample(ds: ray.data.Dataset, budget_chars: float,
                    id_col: str = "doc_id",
                    source_col: str = "source",
@@ -157,11 +172,9 @@ def mixture_sample(ds: ray.data.Dataset, budget_chars: float,
             [source_col]).aggregate([(chars_col, "sum")])
         return g.rename_columns([source_col, "total"])
 
-    parts = narrow.map_batches(totals, batch_format="pyarrow",
-                               zero_copy_batch=True).take_all()
-    tot: dict[str, int] = {}
-    for r in parts:
-        tot[r[source_col]] = tot.get(r[source_col], 0) + int(r["total"])
+    tot = _source_sums(narrow.map_batches(
+        totals, batch_format="pyarrow", zero_copy_batch=True),
+        source_col, "total")
     thr = {s: int(np.floor(1_000_000 * min(1.0, budget_chars / float(t))))
            for s, t in tot.items()}
 
@@ -235,11 +248,8 @@ def temperature_mix(ds: ray.data.Dataset, alpha: float,
             [source_col]).aggregate([([], "count_all")])
         return g.rename_columns([source_col, "n"])
 
-    parts = narrow.map_batches(cnt, batch_format="pyarrow",
-                               zero_copy_batch=True).take_all()
-    counts: dict[str, int] = {}
-    for r in parts:
-        counts[r[source_col]] = counts.get(r[source_col], 0) + int(r["n"])
+    counts = _source_sums(narrow.map_batches(
+        cnt, batch_format="pyarrow", zero_copy_batch=True), source_col, "n")
     thr = temperature_thresholds(counts, alpha, budget_docs)
 
     def keep(batch: pa.Table) -> pa.Table:
@@ -296,6 +306,21 @@ def source_stats(ds: ray.data.Dataset, source_col: str = "source",
         rollup, batch_format="pyarrow")
 
 
+def md5_ranked(ds: ray.data.Dataset, id_col: str) -> ray.data.Dataset:
+    """(id, `_h`) rows: every id with its md5-low64 rank, the RNG-free
+    uniform order behind exact_sample and ops/cluster's fit sample.
+    Ranked by `top_n` on (`_h`, id) ascending, the narrow id column
+    alone rides the merge: 16 bytes a row whatever else `ds` carries."""
+
+    def rank(batch: pa.Table) -> pa.Table:
+        ids = batch.column(id_col).combine_chunks()
+        return pa.table({id_col: ids, "_h": pa.array(
+            md5_lower64_array(pc.cast(ids, pa.string())), pa.uint64())})
+
+    return ds.select_columns([id_col]).map_batches(
+        rank, batch_format="pyarrow", zero_copy_batch=True)
+
+
 def exact_sample(ds: ray.data.Dataset, n: int = 500,
                  id_col: str = "doc_id") -> pa.Table:
     """EXACT-size deterministic global sample — take exactly `n` rows
@@ -304,64 +329,19 @@ def exact_sample(ds: ray.data.Dataset, n: int = 500,
     The hash-Bernoulli samplers above give approximate sizes; training
     recipes often need "exactly n examples, reproducibly".  Ranking by
     a content hash is an RNG-free uniform order, and the n smallest
-    hashes are an order statistic: each block keeps only its LOCAL
-    smallest-n (one lexsort per batch), so at most n rows per block
-    reach the driver for one final n-row merge — the brute_force_topk
-    merge shape, never a corpus exchange.  Ties (impossible for
-    distinct ids short of an md5 collision) break by id.
+    hashes are an order statistic: `functions.parts.top_n` over the
+    md5_ranked (id, hash) rows, never a corpus exchange.  Ties
+    (impossible for distinct ids short of an md5 collision) break by
+    id.
 
     Returns (id, sample_rank) with rank 1..n in hash order, mirrored
-    exactly by the SQL oracle's ORDER BY md5_number_lower(...) LIMIT n.
-
-    Scale: the shared smallest_rank_table primitive's coalescing
-    tree-merge (each level keeps the combined smallest-n, so the
-    result is unchanged) cuts the driver merge from n * n_blocks rows
-    to n * n_blocks / 8^levels — at a million-block corpus the
-    straight collect would have been n * 1M 16-byte rows on one
-    process."""
-    tbl = smallest_rank_table(ds, n, id_col)
+    exactly by the SQL oracle's ORDER BY md5_number_lower(...) LIMIT n."""
+    from ..functions.parts import top_n
+    tbl = top_n(md5_ranked(ds, id_col), n,
+                [("_h", "ascending"), (id_col, "ascending")],
+                schema=pa.schema([(id_col, pa.int64()),
+                                  ("_h", pa.uint64())]))
     return pa.table({
         id_col: tbl.column(id_col),
         "sample_rank": pa.array(np.arange(1, tbl.num_rows + 1,
                                           dtype=np.int64))})
-
-
-def smallest_rank_table(ds: ray.data.Dataset, n: int, id_col: str,
-                        levels: int = 2) -> pa.Table:
-    """THE deterministic order-statistic primitive shared by
-    exact_sample and ops/cluster's bounded Lloyd sampler: the n rows
-    with the smallest (md5(id), id) rank, returned as a driver-held
-    rank-sorted table (id_col, `_h` uint64).  Per-batch smallest-n
-    partials (the `_h` column marks already-ranked partials for the
-    passthrough), `levels` 8-partial coalescing tree-merge levels,
-    one driver merge of the B/8^levels remainder.  ONE streaming pass
-    over the id column only — never a global sort, and the merge
-    working set is 16 bytes/row regardless of what other columns the
-    caller's dataset carries."""
-    from ..functions.hashing import md5_lower64_array
-
-    def local_min(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).combine_chunks()
-        if batch.num_rows == 0:
-            return pa.table({id_col: ids,
-                             "_h": pa.array([], pa.uint64())})
-        if "_h" in batch.schema.names:      # coalesce levels
-            h = batch.column("_h").to_numpy(zero_copy_only=False)
-        else:
-            h = md5_lower64_array(pc.cast(ids, pa.string()))
-        idn = ids.to_numpy(zero_copy_only=False)
-        order = np.lexsort((idn, h))[:n]
-        return pa.table({id_col: ids.take(pa.array(order)),
-                         "_h": pa.array(h[order], pa.uint64())})
-
-    s = ds.select_columns([id_col]).map_batches(
-        local_min, batch_format="pyarrow", zero_copy_batch=True)
-    for _ in range(levels):
-        s = s.map_batches(local_min, batch_format="pyarrow",
-                          batch_size=8 * n)
-    rows = s.take_all()
-    h = np.array([r["_h"] for r in rows], dtype=np.uint64)
-    ids = np.array([r[id_col] for r in rows])
-    order = np.lexsort((ids, h))[:n]
-    return pa.table({id_col: pa.array(ids[order]),
-                     "_h": pa.array(h[order], pa.uint64())})

@@ -24,7 +24,7 @@ import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from ..config import DEFAULT_CONFIG, BUCKET_TASK_CPUS
-from ..functions.parts import arrow_block_refs, exchange
+from ..functions.parts import arrow_block_refs, exchange, top_n
 from ..gen.fixtures import generate_fixtures
 from ..sources.readers import read_transcripts, load_side_tables
 from ..stages.aggregate import hash_partition_aggregate
@@ -893,10 +893,9 @@ def q_ann_pq_topk(sf_dir: str):
     ds = ds.map_batches(
         lambda t: t.filter(pc.invert(pc.equal(t.column("vec_id"), 0))),
         batch_format="pyarrow", zero_copy_batch=True)
-    cb, mat = pq_train(ds, m=16, k=64, iters=4)
-    codes = pq_encode(mat, cb)
-    return pq_topk(codes, cb, _query_vec(sf_dir),
-                   k=10).select_columns(["vec_id"])
+    cb = pq_train(ds, m=16, k=64, iters=4)
+    return pq_topk(pq_encode(ds, cb), cb, _query_vec(sf_dir),
+                   k=10).select(["vec_id"])
 
 
 _IVFPQ_CACHE: dict = {}
@@ -927,7 +926,7 @@ def q_ann_ivfpq_topk(sf_dir: str):
         _IVFPQ_CACHE.clear()
         _IVFPQ_CACHE[key] = True
     return ivfpq_topk(index_dir, _query_vec(sf_dir), k=10,
-                      n_probe=6).select_columns(["vec_id"])
+                      n_probe=6).select(["vec_id"])
 
 
 def q_kmeans_clusters(sf_dir: str):
@@ -1083,7 +1082,6 @@ def q_top_orders(sf_dir: str):
     partition makes the scan's group sums final (no re-merge).
     Revenue is integer-exact (cents x discount-complement-percent) so
     the value hash matches DuckDB regardless of sum order."""
-    from ..ops.relational import global_topk
     cut = np.datetime64(_TOPORD_CUT)
     ct = pq.read_table(os.path.join(sf_dir, "customer.parquet"),
                        columns=["c_custkey", "c_mktsegment"])
@@ -1176,7 +1174,9 @@ def q_top_orders(sf_dir: str):
             "revenue_c2": pa.array(rv[hit])})
 
     per_order = exchange(orders.union(items), "k", join_scan)
-    return global_topk(per_order, "revenue_c2", 10, "o_orderkey")
+    return top_n(per_order, 10, [("revenue_c2", "descending"),
+                                 ("o_orderkey", "ascending")],
+                 schema=_EMPTY_Q3.schema)
 
 
 def q_snapshot_merge(sf_dir: str):
@@ -1866,29 +1866,16 @@ def q_assistant_templates(sf_dir: str):
     assistant turn texts (count desc, text asc) — canned refusals /
     apologies are a known SFT-quality hazard.  Per-bucket (md5, text,
     n) partials, ONE md5-keyed exchange (never the raw body; the text
-    rides alongside once per distinct template per bucket), per-
-    partition local top-20, 20-row-per-partition driver merge — the
-    global_topk shape with a string tiebreak."""
+    rides alongside once per distinct template per bucket), then
+    `top_n` with a string tiebreak."""
     from ..ops.pairs import assistant_template_scan
     partials = _bucket_scan(sf_dir, assistant_template_scan)
     agg = hash_partition_aggregate(
         partials, ["h"], [("n", "sum"), ("text", "min")],
         rename={"n_sum": "n", "text_min": "text"})
-
-    _empty = pa.schema([("text", pa.string()), ("n", pa.int64())])
-
-    def local_topk(batch: pa.Table) -> pa.Table:
-        return batch.select(["text", "n"]).sort_by(
-            [("n", "descending"), ("text", "ascending")]).slice(0, 20)
-
-    parts = [t for t in ray.get(arrow_block_refs(
-        agg.map_batches(local_topk, batch_format="pyarrow",
-                        zero_copy_batch=True))) if t.num_rows]
-    if not parts:
-        return _empty.empty_table()
-    return pa.concat_tables(
-        [t.cast(_empty) for t in parts]).sort_by(
-        [("n", "descending"), ("text", "ascending")]).slice(0, 20)
+    out = pa.schema([("text", pa.string()), ("n", pa.int64())])
+    return top_n(agg, 20, [("n", "descending"), ("text", "ascending")],
+                 schema=out).select(out.names).cast(out)
 
 
 def q_ooo_turns(sf_dir: str):

@@ -174,13 +174,12 @@ def test_pq_recall(corpus):
                                                      pq_topk)
     path, ids, mat = corpus
     ds = ray.data.read_parquet(path, columns=["vec_id", "embedding"])
-    cb, cached = pq_train(ds, m=16, k=64, iters=4)
-    codes = pq_encode(cached, cb)
+    cb = pq_train(ds, m=16, k=64, iters=4)
+    codes = pq_encode(ds, cb).materialize()
     recalls = []
     for qid in QUERY_IDS:
         q = mat[np.flatnonzero(ids == qid)[0]]
-        got = set(r["vec_id"] for r in
-                  pq_topk(codes, cb, q, k=K).take_all())
+        got = set(pq_topk(codes, cb, q, k=K).column("vec_id").to_pylist())
         want = _exact_topk(ids, mat, q)
         recalls.append(len(got & want) / K)
     assert np.mean(recalls) >= 0.5, recalls
@@ -188,15 +187,16 @@ def test_pq_recall(corpus):
 
 def test_pq_codes_parallelism_independent(corpus):
     """The pinned-golden contract: codebook and codes are bit-equal
-    regardless of block layout (integer Lloyd + lowest-id ties)."""
+    regardless of block layout (integer Lloyd over the md5-rank fit
+    sample + lowest-id ties)."""
     from d1_log_aggregation_ray.ops.quantize import pq_train, pq_encode
     path, ids, mat = corpus
 
     def run(nblocks):
         ds = ray.data.read_parquet(
             path, columns=["vec_id", "embedding"]).repartition(nblocks)
-        cb, cached = pq_train(ds, m=16, k=64, iters=3)
-        codes = pq_encode(cached, cb).to_pandas().sort_values(
+        cb = pq_train(ds, m=16, k=64, iters=3)
+        codes = pq_encode(ds, cb).to_pandas().sort_values(
             "vec_id").reset_index(drop=True)
         return cb, codes
 
@@ -225,8 +225,8 @@ def test_ivfpq_recall(corpus, tmp_path):
     recalls = []
     for qid in QUERY_IDS:
         q = mat[np.flatnonzero(ids == qid)[0]]
-        got = set(r["vec_id"] for r in
-                  ivfpq_topk(index_dir, q, k=K, n_probe=4).take_all())
+        got = set(ivfpq_topk(index_dir, q, k=K, n_probe=4)
+                  .column("vec_id").to_pylist())
         want = _exact_topk(ids, mat, q)
         recalls.append(len(got & want) / K)
     assert np.mean(recalls) >= 0.4, recalls

@@ -242,26 +242,6 @@ def test_cluster_sample_balances_and_is_layout_independent():
         sorted((r["vec_id"], r["cluster"]) for r in out2)
 
 
-def test_bounded_fit_equals_exact_fit_when_sample_covers_corpus():
-    """The round-4 default (bounded sample fit + streaming assignment)
-    must be BIT-IDENTICAL to the round-3 exact cached-blocks fit when
-    fit_sample_n >= corpus size — the property the pinned goldens rely
-    on at test scales (integer sums are associative, and the sample
-    is then the whole corpus)."""
-    import ray.data
-
-    from d1_log_aggregation_ray.ops.cluster import kmeans_embeddings
-
-    ds = ray.data.read_parquet("/root/testdata/sf0.001/embeddings.parquet",
-                               columns=["vec_id", "embedding"])
-    sampled = sorted((r["vec_id"], r["cluster"]) for r in
-                     kmeans_embeddings(ds, k=10, iters=5).take_all())
-    exact = sorted((r["vec_id"], r["cluster"]) for r in
-                   kmeans_embeddings(ds, k=10, iters=5,
-                                     fit_sample_n=None).take_all())
-    assert sampled == exact
-
-
 def test_bounded_fit_subsample_matches_local_reference():
     """fit_sample_n SMALLER than the corpus: the engine must fit on
     exactly the smallest-n (md5(id), id) rows and assign the full
