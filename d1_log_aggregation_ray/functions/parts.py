@@ -6,17 +6,26 @@ calls `fn` once per non-empty partition.  This module alone decides
 how that happens: the partition count (`hash_parts`, scaled with the
 cluster's CPUs), the partition hash (`part_ids`: integers through a
 golden-ratio mix, fixed-size binary by its low 64 bits, everything
-else by md5-low64), the name of the transient partition column, and
-that `fn` never sees a zero-row group.  Callers emit a key column and
-never a partition id; a key that is already a 64-bit hash is passed
-as an int64 or uint64 column so it is mixed, never md5'd again.
+else by md5-low64), and that `fn` never sees a zero-row group.
+Callers emit a key column and never a partition id; a key that is
+already a 64-bit hash is passed as an int64 or uint64 column so it
+is mixed, never md5'd again.
 
-The backend is one sort-based `groupby(partition).map_groups`.  The
-partition of a key depends on P, so the ROW ORDER of an exchange's
-output depends on the cluster size and is unspecified; only the set
-of output rows is.  Partitioning assumption: one partition of the
-shuffled rows fits in a worker's heap; P scales with the cluster, so
-at N x the data on N x the nodes the per-partition size is constant.
+The backend is a raw M x P task exchange: one mapper task per
+non-empty input block cuts it into P slices (`part_ids` plus one
+stable argsort) and returns them with its P per-partition row
+counts; one reducer task per partition that received rows
+concatenates its slices and calls `fn` once.  No sample pass, range
+sort or merge runs, and no empty partition is ever emitted: the
+output has one block per non-empty partition.  `exchange` runs its
+input and both task waves when it is called (not lazily) and returns
+a materialized Dataset; up to M x P slices sit in the object store
+at once, the same bound a sort shuffle has.  The partition of a key
+depends on P, so the ROW ORDER of an exchange's output depends on
+the cluster size and is unspecified; only the set of output rows
+is.  Partitioning assumption: one partition of the shuffled rows
+fits in a worker's heap; P scales with the cluster, so at N x the
+data on N x the nodes the per-partition size is constant.
 
 `top_n(ds, n, by)` is the reduce every top-k, order-statistic sample
 and bounded fit sample goes through: callers keep their scoring
@@ -34,13 +43,11 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data
+from ray.data.block import BlockAccessor
 
 #: multiplicative 64-bit mixing constant (golden-ratio) used to spread
 #: integer keys across partitions
 HASH_MIX = np.uint64(0x9E3779B97F4A7C15)
-
-#: transient partition column; exchange drops it before `fn` runs
-_PART = "_part"
 
 
 def _cpus() -> int:
@@ -103,6 +110,22 @@ def part_ids(col, n_parts: int) -> np.ndarray:
     return (h % np.uint64(n_parts)).astype(np.int64)
 
 
+@ray.remote
+def _split(block, key: str, n_parts: int) -> tuple:
+    """Mapper: (rows per partition, *one slice per partition)."""
+    block = BlockAccessor.for_block(block).to_arrow()
+    p = part_ids(block.column(key), n_parts)
+    block = block.take(pa.array(np.argsort(p, kind="stable")))
+    counts = np.bincount(p, minlength=n_parts)
+    ends = np.cumsum(counts)
+    return (counts, *(block.slice(e - c, c) for e, c in zip(ends, counts)))
+
+
+@ray.remote
+def _reduce(fn, *slices) -> pa.Table:
+    return fn(pa.concat_tables(slices, promote_options="default"))
+
+
 def exchange(ds: ray.data.Dataset, key: str,
              fn: Callable[[pa.Table], pa.Table]) -> ray.data.Dataset:
     """Hash-partition `ds` on `key` into hash_parts() partitions and
@@ -110,22 +133,27 @@ def exchange(ds: ray.data.Dataset, key: str,
 
     Every row with an equal `key` lands in the same call; one call
     sees many keys, so `fn` is a vectorized scan over its whole
-    partition.  `fn` receives the rows' own columns (the partition
-    column is already dropped) and never a zero-row group.  Two-sided
-    co-partition joins pass `left.union(right)` with a side tag."""
+    partition.  `fn` receives the rows' own columns and never a
+    zero-row group.  Two-sided co-partition joins pass
+    `left.union(right)` with a side tag.  Runs eagerly: the returned
+    Dataset is materialized, one block per non-empty partition (none
+    for a zero-row input); an exception in `fn` raises here with its
+    own type."""
     P = hash_parts()
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            _PART, pa.array(part_ids(batch.column(key), P)))
-
-    def run(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({})
-        return fn(group.drop_columns([_PART]))
-
-    return (ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby(_PART).map_groups(run, batch_format="pyarrow"))
+    split = _split.options(num_returns=P + 1)
+    # one mapper per block as the input streams out; zero-row blocks
+    # may be schemaless (Ray's own maps never see them) and are skipped
+    outs = [split.remote(ref, key, P)
+            for bundle in ds.iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks if meta.num_rows != 0]
+    counts = ray.get([o[0] for o in outs])
+    fn_ref = ray.put(fn)
+    reduced = []
+    for j in range(1, P + 1):
+        slices = [o[j] for o, c in zip(outs, counts) if c[j - 1]]
+        if slices:
+            reduced.append(_reduce.remote(fn_ref, *slices))
+    return ray.data.from_arrow_refs(reduced)
 
 
 def arrow_block_refs(ds) -> list:

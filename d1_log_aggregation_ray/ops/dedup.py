@@ -1058,7 +1058,7 @@ def minhash_cluster_ids(ds: ray.data.Dataset, num_perm: int = 64,
                  group.column("score").to_numpy()[home == 1]]))
         return pa.table(cols)
 
-    state = exchange(band, "band_key", seed_state).materialize()
+    state = exchange(band, "band_key", seed_state)
 
     def attach_and_fold(group: pa.Table) -> pa.Table:
         """Per id: fold the label row + pending messages (kind 1+2)
@@ -1132,7 +1132,6 @@ def minhash_cluster_ids(ds: ray.data.Dataset, num_perm: int = 64,
             stream = exchange(stream, id_col, attach_and_fold)
             stream = exchange(stream, "band_key", bucket_min_scatter)
             rounds += 1
-        stream = stream.materialize()
         n_msgs = stream.map_batches(
             lambda t: pa.table({"n": pa.array(
                 [int(pc.sum(pc.cast(pc.equal(t.column("kind"), 2),

@@ -96,11 +96,8 @@ def line_dedup(ds: ray.data.Dataset, id_col: str = "doc_id",
             t.column("cnt"), pa.scalar(threshold, pa.int64())))
                    .select(["lh"]),
         batch_format="pyarrow", zero_copy_batch=True)
-    # empty exchange partitions surface as schema-less empty blocks in
-    # to_arrow_refs (the executor's empty-partition path) — skip them
     parts = [t.column("lh").to_numpy(zero_copy_only=False)
-             for t in ray.get(arrow_block_refs(dup_only))
-             if "lh" in t.schema.names]
+             for t in ray.get(arrow_block_refs(dup_only))]
     dup = (np.sort(np.concatenate(parts)) if parts
            else np.empty(0, np.int64))
     dup_ref = ray.put(dup)  # broadcast once, read per task

@@ -325,8 +325,7 @@ def value_quantiles(ds: ray.data.Dataset, val_col: str,
         ds.map_batches(partial, batch_format="pyarrow",
                        zero_copy_batch=True),
         ["v"], [("c", "sum")], rename={"c_sum": "c"})
-    # empty hash partitions come back schema-less — keep typed blocks only
-    blocks = [t for t in ray.get(arrow_block_refs(merged)) if t.num_rows]
+    blocks = ray.get(arrow_block_refs(merged))
     if not blocks:
         return pa.table({"q": pa.array([], pa.float64()),
                          "value": pa.array([], pa.int64())})

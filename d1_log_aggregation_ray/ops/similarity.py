@@ -394,7 +394,7 @@ def knn_join(ds: ray.data.Dataset, k: int = 5, n_planes: int | None = None,
     at _KNN_COL_CHUNK with a running per-row top-k merge, so the
     scores temporary stays ~32 MB even for a degenerate mega-bucket
     (e.g. millions of identical vectors, which no plane count can
-    split).  Remaining partitioning assumption (the house map_groups
+    split).  Remaining partitioning assumption (the house exchange
     contract): one hash PARTITION of (id, vec) rows fits a worker
     heap — P scales with the cluster.  The within-bucket cost is
     inherently O(bucket^2 * dim) multiply-adds — that is the

@@ -261,7 +261,7 @@ def approx_distinct(ds: ray.data.Dataset, key: str, distinct_col: str,
         pass: stack the partials into an (n, 2^p) matrix, register-max
         per key segment via np.maximum.reduceat, then one batched
         estimate — no per-key python loop (many keys at corpus scale
-        mean map_groups hands multi-row groups; this fn is also safe
+        mean exchange hands multi-row groups; this fn is also safe
         for the one-key-per-call contract)."""
         n = group.num_rows
         kcol = group.column(key).combine_chunks()

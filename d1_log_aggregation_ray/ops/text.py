@@ -534,12 +534,7 @@ def bpe_train(ds: ray.data.Dataset, n_merges: int = 60,
                                       [("tf", "sum")],
                                       rename={"tf_sum": "tf"})
 
-    _empty_wc = pa.table({"word": pa.array([], pa.string()),
-                          "tf": pa.array([], pa.int64())})
-
     def local_topk(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _empty_wc  # typed empty: schema-stable RefBundles
         if batch.num_rows <= max_words:
             return batch
         # the SAME total order as the driver's global cut — (-tf, word
@@ -553,8 +548,6 @@ def bpe_train(ds: ray.data.Dataset, n_merges: int = 60,
     rows = []
     for t in _iter_driver_tables(merged.map_batches(
             local_topk, batch_format="pyarrow")):
-        if t.num_rows == 0 or "word" not in t.column_names:
-            continue  # schema-less empty block from an empty partition
         rows.extend(zip(t.column("word").to_pylist(),
                         t.column("tf").to_pylist()))
     rows.sort(key=lambda r: (-r[1], r[0]))

@@ -2011,7 +2011,7 @@ def q_rollup_counts(sf_dir: str):
 
     parts = exchange(ds.map_batches(partial, batch_format="pyarrow",
                                     zero_copy_batch=True), "role", scan)
-    blocks = [t for t in ray.get(arrow_block_refs(parts)) if t.num_rows]
+    blocks = ray.get(arrow_block_refs(parts))
     if not blocks:
         return _empty
     out = pa.concat_tables([b.cast(_empty.schema) for b in blocks])

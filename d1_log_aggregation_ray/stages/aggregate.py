@@ -32,9 +32,9 @@ def hash_partition_aggregate(ds: ray.data.Dataset, keys: list[str],
     Ray's native groupby().aggregate() pays ~90 us of python per group
     in its reduce (measured on this box: 73 s vs 2.5 s for 2M rows /
     500k keys), which is unusable when the key is a conv/doc/user id.
-    This runs the same single sort-shuffle — as one `exchange` on the
-    first key — and then aggregates each whole partition in ONE arrow
-    C++ hash-aggregate call (Table.group_by).
+    This runs one `exchange` on the first key and aggregates each
+    whole partition in ONE arrow C++ hash-aggregate call
+    (Table.group_by).
 
     `aggs` are pyarrow aggregate specs, e.g. [("v", "min")] or
     [([], "count_all")]; output names follow arrow ("v_min",

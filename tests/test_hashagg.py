@@ -5,11 +5,14 @@ primitive under it keeps every key in one partition."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 
+import ray
 import ray.data
 
 from d1_log_aggregation_ray.functions import parts
-from d1_log_aggregation_ray.functions.parts import exchange, part_ids
+from d1_log_aggregation_ray.functions.parts import (
+    arrow_block_refs, exchange, part_ids)
 from d1_log_aggregation_ray.stages.aggregate import hash_partition_aggregate
 
 
@@ -99,7 +102,97 @@ def test_exchange_calls_fn_on_nonempty_partitions_only(monkeypatch):
         ks, n = np.unique(group.column("k").to_numpy(), return_counts=True)
         return pa.table({"k": pa.array(ks), "n": pa.array(n)})
 
-    got = exchange(_ds(t), "k", fn).to_pandas().sort_values("k")
+    out = exchange(_ds(t), "k", fn)
+    got = out.to_pandas().sort_values("k")
     assert got["k"].tolist() == [0, 1, 2]     # one call per key
     assert got["n"].tolist() == [200, 200, 200]
+    # one block per non-empty partition, never an empty one
+    blocks = ray.get(arrow_block_refs(out))
+    assert len(blocks) == 3
+    assert all(b.num_rows for b in blocks)
+
+
+def _key_counts():
+    """fn for the exchange tests: row count per distinct key, nulls
+    included (a closure, so Ray workers unpickle it by value)."""
+    def fn(group: pa.Table) -> pa.Table:
+        assert group.num_rows > 0
+        g = group.group_by(["k"]).aggregate([([], "count_all")])
+        return g.rename_columns(["k", "n"])
+    return fn
+
+
+def _blocks(t: pa.Table, n: int) -> ray.data.Dataset:
+    step = -(-t.num_rows // n)
+    return ray.data.from_arrow([t.slice(i, step)
+                                for i in range(0, t.num_rows, step)])
+
+
+def _pandas_counts(t: pa.Table) -> pd.DataFrame:
+    return (t.to_pandas().groupby("k", dropna=False).size()
+            .reset_index(name="n"))
+
+
+def _check(got: pd.DataFrame, want: pd.DataFrame) -> None:
+    # each key in exactly one call: one output row per distinct key
+    assert len(got) == len(want)
+    counts = lambda df: {None if pd.isna(k) else k: n
+                         for k, n in zip(df["k"], df["n"])}
+    assert counts(got) == counts(want)
+
+
+def test_exchange_zero_row_input_gives_zero_row_dataset():
+    t = pa.table({"k": pa.array([1, 2], pa.int64()),
+                  "v": pa.array([1, 2])})
+    want = _pandas_counts(t.slice(0, 0))
+    # every row filtered out, and zero-row upstream blocks (schemaless
+    # when a map drops every row), which no mapper may be handed
+    for ds in (_ds(t).filter(expr="v > 10"),
+               _ds(t).map_batches(lambda b: b.slice(0, 0),
+                                  batch_format="pyarrow")):
+        out = exchange(ds, "k", _key_counts())
+        assert out.count() == len(want) == 0
+        assert out.to_pandas().empty
+
+
+def test_exchange_null_keys_colocate():
+    """NULL integer keys and NULL string keys each land in one call,
+    across many input blocks."""
+    n = 3000
+    ints = pa.table({"k": pa.array(
+        [None if i % 7 == 0 else i % 50 for i in range(n)], pa.int64()),
+        "v": pa.array(np.arange(n))})
+    strs = pa.table({"k": pa.array(
+        [None if i % 5 == 0 else f"s{i % 40}" for i in range(n)]),
+        "v": pa.array(np.arange(n))})
+    for t in (ints, strs):
+        got = exchange(_blocks(t, 12), "k", _key_counts()).to_pandas()
+        _check(got, _pandas_counts(t))
+        assert got["k"].isna().sum() == 1
+
+
+def test_exchange_many_input_blocks_p64(monkeypatch):
+    """>= 64 input blocks into 64 partitions: every key in one call,
+    counts exact."""
+    monkeypatch.setattr(parts, "_cpus", lambda: 32)   # P = 64
+    rng = np.random.RandomState(3)
+    t = pa.table({"k": pa.array(rng.randint(0, 500, 6400)),
+                  "v": pa.array(np.arange(6400))})
+    ds = _blocks(t, 64)
+    assert ds.num_blocks() == 64
+    out = exchange(ds, "k", _key_counts())
+    _check(out.to_pandas(), _pandas_counts(t))
+    assert all(b.num_rows for b in ray.get(arrow_block_refs(out)))
+
+
+def test_exchange_fn_exception_keeps_its_type():
+    class Boom(ValueError):
+        pass
+
+    def fn(group: pa.Table) -> pa.Table:
+        raise Boom("bad partition")
+
+    t = pa.table({"k": pa.array([1, 2, 3]), "v": pa.array([1, 2, 3])})
+    with pytest.raises(Boom, match="bad partition"):
+        exchange(_ds(t), "k", fn).to_pandas()
 
