@@ -1,5 +1,6 @@
-"""The package's one hash exchange and one global top-n, and the
-decisions they own.
+"""The package's one hash exchange, its per-value form, the driver
+merge of small partials and one global top-n, and the decisions they
+own.
 
 `exchange(ds, key, fn)` co-locates every row with an equal `key` and
 calls `fn` once per non-empty partition.  This module alone decides
@@ -25,7 +26,18 @@ depends on P, so the ROW ORDER of an exchange's output depends on
 the cluster size and is unspecified; only the set of output rows
 is.  Partitioning assumption: one partition of the shuffled rows
 fits in a worker's heap; P scales with the cluster, so at N x the
-data on N x the nodes the per-partition size is constant.
+data on N x the nodes the per-partition size is constant.  An
+exception in `fn` comes back in the reducer's error slot, so a
+failure in several partitions raises the first one and leaves no
+failed task behind.
+
+`exchange_groups(ds, key, fn)` is the per-value form: each reducer
+stable-sorts its partition on `key` and calls `fn` once per run of
+equal value (NULL keys form one run), for operators whose state is
+one key's rows (a shard's writer, a range's prefix sum).  Small
+aggregates never cross an exchange: each block collapses to a
+per-batch partial, `collect` brings the partials to the driver and
+one Arrow `group_by` merges them.
 
 `top_n(ds, n, by)` is the reduce every top-k, order-statistic sample
 and bounded fit sample goes through: callers keep their scoring
@@ -35,6 +47,7 @@ tree's fan-in and the driver's bound live here.
 
 from __future__ import annotations
 
+import traceback
 from typing import Callable
 
 import numpy as np
@@ -121,9 +134,17 @@ def _split(block, key: str, n_parts: int) -> tuple:
     return (counts, *(block.slice(e - c, c) for e, c in zip(ends, counts)))
 
 
-@ray.remote
-def _reduce(fn, *slices) -> pa.Table:
-    return fn(pa.concat_tables(slices, promote_options="default"))
+@ray.remote(num_returns=2)
+def _reduce(fn, *slices) -> tuple:
+    """Reducer: (fn's table, None), or (an empty table, fn's exception
+    with the worker's traceback as a note).  A reducer never fails, so
+    no task reading its table fails and is left for Ray to log as an
+    unhandled error."""
+    try:
+        return fn(pa.concat_tables(slices, promote_options="default")), None
+    except Exception as e:
+        e.add_note(traceback.format_exc())
+        return pa.table({}), e
 
 
 def exchange(ds: ray.data.Dataset, key: str,
@@ -153,7 +174,49 @@ def exchange(ds: ray.data.Dataset, key: str,
         slices = [o[j] for o, c in zip(outs, counts) if c[j - 1]]
         if slices:
             reduced.append(_reduce.remote(fn_ref, *slices))
-    return ray.data.from_arrow_refs(reduced)
+    out = ray.data.from_arrow_refs([t for t, _ in reduced])
+    # every reducer has finished: its error slot is a local get
+    for err in ray.get([e for _, e in reduced]):
+        if err is not None:
+            raise err
+    return out
+
+
+def exchange_groups(ds: ray.data.Dataset, key: str,
+                    fn: Callable[[pa.Table], pa.Table]) -> ray.data.Dataset:
+    """`exchange` with `fn` called once per distinct `key` value: each
+    reducer stable-sorts its partition on `key`, cuts it into runs of
+    equal value (NULL keys form one run) and concatenates fn's
+    results.  `fn` never sees a zero-row group."""
+
+    def per_key(part: pa.Table) -> pa.Table:
+        part = part.sort_by(key)
+        codes = pc.dictionary_encode(part.column(key).combine_chunks(),
+                                     null_encoding="encode").indices
+        codes = codes.to_numpy(zero_copy_only=False)
+        cuts = np.r_[np.flatnonzero(codes[1:] != codes[:-1]) + 1,
+                     len(codes)]
+        return pa.concat_tables([fn(part.slice(a, b - a)) for a, b in
+                                 zip(np.r_[0, cuts[:-1]], cuts)],
+                                promote_options="default")
+
+    return exchange(ds, key, per_key)
+
+
+def concat_typed(tables) -> pa.Table:
+    """One table of every typed table in `tables`, `pa.table({})` when
+    there is none (a zero-row Ray block may carry no schema)."""
+    typed = [t for t in tables if t.num_columns]
+    if not typed:
+        return pa.table({})
+    return pa.concat_tables(typed, promote_options="default")
+
+
+def collect(ds: ray.data.Dataset) -> pa.Table:
+    """`ds` as one driver-held table, for small per-batch partials that
+    the driver merges with one Arrow group_by; `pa.table({})` when no
+    block of `ds` carries a schema."""
+    return concat_typed(ray.get(arrow_block_refs(ds)))
 
 
 def arrow_block_refs(ds) -> list:
@@ -199,11 +262,8 @@ def _cut(t: pa.Table, n: int, by: list, per: str | None) -> pa.Table:
 
 
 def _concat_cut(parts, n: int, by: list, per: str | None) -> pa.Table:
-    typed = [t for t in parts if t.num_columns]
-    if not typed:
-        return pa.table({})
-    return _cut(pa.concat_tables(typed, promote_options="default"),
-                n, by, per)
+    t = concat_typed(parts)
+    return _cut(t, n, by, per) if t.num_columns else t
 
 
 @ray.remote

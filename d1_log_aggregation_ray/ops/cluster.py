@@ -106,7 +106,7 @@ def _rank_sample_table(ds: ray.data.Dataset, n: int, id_col: str,
     the local fit needs anyway; callers shrink fit_sample_n for very
     wide embeddings.  Returns a driver-held table carrying the rank
     as `_h` so seeding reuses it."""
-    from ..functions.parts import arrow_block_refs, top_n
+    from ..functions.parts import collect, top_n
     from .split import md5_ranked
 
     ranked = top_n(md5_ranked(ds, id_col), n,
@@ -131,8 +131,7 @@ def _rank_sample_table(ds: ray.data.Dataset, n: int, id_col: str,
     sampled = ds.select_columns([id_col, vec_col]).map_batches(
         gather, batch_format="pyarrow", zero_copy_batch=True,
         fn_kwargs={"ids_ref": want_ref})
-    rows = [t for t in ray.get(arrow_block_refs(sampled)) if t.num_rows]
-    out = pa.concat_tables(rows).combine_chunks()
+    out = collect(sampled).combine_chunks()
     out_ids = pc.cast(out.column(id_col), pa.int64())
     oh = md5_lower64_array(pc.cast(out_ids, pa.string()))
     return pa.table({"_h": pa.array(oh.view(np.int64)),
@@ -363,15 +362,14 @@ def organize_embeddings(ds: ray.data.Dataset, k: int = 10,
     golden cross-checked against the composed independent references.
     """
     from .projection import _fit_components_ds, PCA_SCALE
-    from ..functions.parts import arrow_block_refs
+    from ..functions.parts import collect
     narrow = ds.select_columns([id_col, vec_col])
     surv = semantic_dedup(narrow, k=k, iters=iters, threshold=threshold,
                           id_col=id_col, vec_col=vec_col,
                           fit_sample_n=fit_sample_n)
-    ids = np.sort(np.concatenate([
-        t.column(id_col).to_numpy(zero_copy_only=False)
-        for t in ray.get(arrow_block_refs(surv)) if t.num_rows]
-        or [np.empty(0, np.int64)]))
+    t = collect(surv)
+    ids = (np.sort(t.column(id_col).to_numpy()) if t.num_rows
+           else np.empty(0, np.int64))
     ids_ref = ray.put(ids)
 
     def keep(batch: pa.Table, *, surv_ids) -> pa.Table:

@@ -36,7 +36,7 @@ import ray
 import ray.data
 
 from ..functions.hashing import md5_bytes_array
-from ..functions.parts import arrow_block_refs
+from ..functions.parts import collect
 
 
 def curate_corpus(ds: ray.data.Dataset, id_col: str = "doc_id",
@@ -72,11 +72,9 @@ def curate_corpus(ds: ray.data.Dataset, id_col: str = "doc_id",
         _, gh = _gram_hashes(b, id_col, "text_norm", n)
         return pa.table({"gh": pa.array(np.unique(gh))})
 
-    parts = [t.column("gh").to_numpy(zero_copy_only=False)
-             for t in ray.get(arrow_block_refs(normalized.map_batches(
-                 bench_grams, batch_format="pyarrow",
-                 zero_copy_batch=True)))]
-    bench = (np.unique(np.concatenate(parts)) if parts
+    t = collect(normalized.map_batches(
+        bench_grams, batch_format="pyarrow", zero_copy_batch=True))
+    bench = (np.unique(t.column("gh").to_numpy()) if t.num_columns
              else np.empty(0, np.uint64))
     bench_ref = ray.put(np.sort(bench))
 

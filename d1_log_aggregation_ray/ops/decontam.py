@@ -38,7 +38,7 @@ import ray
 import ray.data
 
 from ..functions.hashing import md5_lower64_array
-from ..functions.parts import arrow_block_refs, exchange
+from ..functions.parts import collect, exchange
 from ..stages.aggregate import hash_partition_aggregate
 
 #: odd multiplier (golden-ratio constant) — uint64 polynomial base.
@@ -112,11 +112,9 @@ def contamination_hits(ds: ray.data.Dataset, id_col: str = "doc_id",
         _, gh = _gram_hashes(b, id_col, text_col, n)
         return pa.table({"gh": pa.array(np.unique(gh))})
 
-    parts = [t.column("gh").to_numpy(zero_copy_only=False)
-             for t in ray.get(arrow_block_refs(narrow.map_batches(
-                 bench_grams, batch_format="pyarrow",
-                 zero_copy_batch=True)))]
-    bench = (np.unique(np.concatenate(parts)) if parts
+    t = collect(narrow.map_batches(
+        bench_grams, batch_format="pyarrow", zero_copy_batch=True))
+    bench = (np.unique(t.column("gh").to_numpy()) if t.num_columns
              else np.empty(0, np.uint64))
     bench_ref = ray.put(bench)  # broadcast once, read per task
 
@@ -399,11 +397,9 @@ def bloom_contamination_hits(ds: ray.data.Dataset,
         _, gh = _gram_hashes(b, id_col, text_col, n)
         return pa.table({"gh": pa.array(np.unique(gh))})
 
-    parts = [t.column("gh").to_numpy(zero_copy_only=False)
-             for t in ray.get(arrow_block_refs(narrow.map_batches(
-                 bench_grams, batch_format="pyarrow",
-                 zero_copy_batch=True)))]
-    bench = (np.unique(np.concatenate(parts)) if parts
+    t = collect(narrow.map_batches(
+        bench_grams, batch_format="pyarrow", zero_copy_batch=True))
+    bench = (np.unique(t.column("gh").to_numpy()) if t.num_columns
              else np.empty(0, np.uint64))
     bloom_ref = ray.put(_bloom_build(bench, m_bits, k))
 

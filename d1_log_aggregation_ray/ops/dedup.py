@@ -1132,12 +1132,7 @@ def minhash_cluster_ids(ds: ray.data.Dataset, num_perm: int = 64,
             stream = exchange(stream, id_col, attach_and_fold)
             stream = exchange(stream, "band_key", bucket_min_scatter)
             rounds += 1
-        n_msgs = stream.map_batches(
-            lambda t: pa.table({"n": pa.array(
-                [int(pc.sum(pc.cast(pc.equal(t.column("kind"), 2),
-                                    pa.int64())).as_py() or 0)])}),
-            batch_format="pyarrow").sum("n")
-        if not n_msgs:
+        if not stream.filter(expr="kind == 2").count():
             break
     return stream.map_batches(
         lambda t: (lambda u: pa.table(
@@ -1467,8 +1462,10 @@ def compact_minhash_index(index_dir: str) -> dict:
     # partition and a toy compaction would GROW the file count
     total = sum(os.path.getsize(p) for p in files)
     n_out = max(1, int(total // (8 << 20)))
-    (_unique_band_keys(ray.data.read_parquet(files, columns=["band_key"]))
-     .repartition(n_out).write_parquet(tmp))
+    keys = _unique_band_keys(ray.data.read_parquet(files,
+                                                   columns=["band_key"]))
+    keys.write_parquet(tmp, min_rows_per_file=max(
+        1, -(-keys.count() // n_out)))
     os.replace(tmp, os.path.join(index_dir, merged_name))
     for p in files:
         os.remove(p)

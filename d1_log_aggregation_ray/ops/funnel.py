@@ -20,7 +20,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..functions.parts import exchange
+from ..functions.parts import collect, exchange
 from .relational import _seg_keys
 
 _DAY_US = 86_400_000_000
@@ -41,8 +41,8 @@ def funnel_counts(ds: ray.data.Dataset, steps: list[str],
     Scale shape: rows are pruned to the funnel's event types at the
     read/filter, each user's whole journey lands in one hash partition,
     and the per-partition scan is per-STEP vectorized (np.minimum.at
-    over user slots — no per-user loop, no sort needed).  The final
-    exchange carries len(steps) rows per partition.
+    over user slots — no per-user loop, no sort needed).  The driver
+    sums len(steps) rows per partition.
     """
     step_idx = {s: i for i, s in enumerate(steps)}
     steps_arr = pa.array(steps, pa.string())
@@ -94,19 +94,14 @@ def funnel_counts(ds: ray.data.Dataset, steps: list[str],
                                        zero_copy_batch=True),
                         "u", partition_scan)
 
-    # bounded merge: len(steps) groups — native groupby is fine here
-    from ray.data.aggregate import Sum
-    agg = partials.groupby("step").aggregate(Sum("n"))
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        st = batch.column("step").to_numpy(zero_copy_only=False)
-        names = pa.array([steps[int(s) - 1] for s in st], pa.string())
-        return pa.table({"step": batch.column("step"),
-                         "event_type": names,
-                         "n_users": pc.cast(batch.column("sum(n)"),
-                                            pa.int64())})
-
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    # bounded merge: len(steps) rows per partition, summed on the driver
+    t = collect(partials)
+    n = np.zeros(n_steps, np.int64)
+    if t.num_rows:
+        np.add.at(n, t.column("step").to_numpy() - 1, t.column("n").to_numpy())
+    return ray.data.from_arrow(pa.table({
+        "step": pa.array(np.arange(1, n_steps + 1)),
+        "event_type": steps_arr, "n_users": pa.array(n)}))
 
 
 def retention_counts(ds: ray.data.Dataset, user_col: str = "user_id",

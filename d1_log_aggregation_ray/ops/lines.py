@@ -45,7 +45,7 @@ import ray
 import ray.data
 
 from ..functions.hashing import md5_lower64_array
-from ..functions.parts import arrow_block_refs
+from ..functions.parts import collect
 
 _EMPTY_PARTIAL = pa.table({"lh": pa.array([], pa.int64()),
                            "cnt": pa.array([], pa.int64())})
@@ -96,9 +96,8 @@ def line_dedup(ds: ray.data.Dataset, id_col: str = "doc_id",
             t.column("cnt"), pa.scalar(threshold, pa.int64())))
                    .select(["lh"]),
         batch_format="pyarrow", zero_copy_batch=True)
-    parts = [t.column("lh").to_numpy(zero_copy_only=False)
-             for t in ray.get(arrow_block_refs(dup_only))]
-    dup = (np.sort(np.concatenate(parts)) if parts
+    t = collect(dup_only)
+    dup = (np.sort(t.column("lh").to_numpy()) if t.num_columns
            else np.empty(0, np.int64))
     dup_ref = ray.put(dup)  # broadcast once, read per task
 
@@ -192,11 +191,9 @@ def strip_dup_spans(ds: ray.data.Dataset, n: int = 8,
             t.column("nd"), pa.scalar(threshold, pa.int64())))
                    .select(["gh"]),
         batch_format="pyarrow", zero_copy_batch=True)
-    parts = [t.column("gh").to_numpy(zero_copy_only=False)
-             for t in ray.get(arrow_block_refs(dup_only))
-             if "gh" in t.schema.names]
-    dup = (np.sort(np.concatenate(parts).astype(np.int64).view(
-        np.uint64)) if parts else np.empty(0, np.uint64))
+    t = collect(dup_only)
+    dup = (np.sort(t.column("gh").to_numpy().astype(np.int64).view(
+        np.uint64)) if t.num_columns else np.empty(0, np.uint64))
     dup_ref = ray.put(dup)
 
     def rebuild(batch: pa.Table, *, dup_set) -> pa.Table:

@@ -22,7 +22,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..functions.parts import arrow_block_refs
+from ..functions.parts import collect
 
 _SCHEMA = pa.schema([
     ("col", pa.string()), ("n_rows", pa.int64()), ("n_null", pa.int64()),
@@ -56,12 +56,11 @@ def profile_columns(ds: ray.data.Dataset) -> pa.Table:
     small driver-side table (col, n_rows, n_null, min_v, max_v) —
     min_v/max_v NULL for non-numeric, non-timestamp columns;
     timestamps profiled as epoch microseconds."""
-    parts = [t for t in ray.get(arrow_block_refs(
-        ds.map_batches(_partial, batch_format="pyarrow",
-                       zero_copy_batch=True))) if t.num_rows]
-    if not parts:
+    t = collect(ds.map_batches(_partial, batch_format="pyarrow",
+                               zero_copy_batch=True))
+    if not t.num_rows:
         return _SCHEMA.empty_table()
-    t = pa.concat_tables(parts).combine_chunks()
+    t = t.combine_chunks()
     cols = t.column("col").to_pylist()
     nr = t.column("n_rows").to_numpy(zero_copy_only=False)
     nn = t.column("n_null").to_numpy(zero_copy_only=False)

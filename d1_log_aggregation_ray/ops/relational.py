@@ -25,7 +25,7 @@ import ray.data
 
 
 from ..functions.parts import int_key_array as _int_keys
-from ..functions.parts import arrow_block_refs, exchange
+from ..functions.parts import collect, exchange
 
 
 def _seg_keys(col) -> np.ndarray:
@@ -325,11 +325,10 @@ def value_quantiles(ds: ray.data.Dataset, val_col: str,
         ds.map_batches(partial, batch_format="pyarrow",
                        zero_copy_batch=True),
         ["v"], [("c", "sum")], rename={"c_sum": "c"})
-    blocks = ray.get(arrow_block_refs(merged))
-    if not blocks:
+    hist = collect(merged)
+    if not hist.num_rows:
         return pa.table({"q": pa.array([], pa.float64()),
                          "value": pa.array([], pa.int64())})
-    hist = pa.concat_tables(blocks)
     v = hist.column("v").to_numpy(zero_copy_only=False)
     c = hist.column("c").to_numpy(zero_copy_only=False)
     order = np.argsort(v, kind="stable")
@@ -827,15 +826,12 @@ def sampled_quantiles(ds: ray.data.Dataset, val_col: str,
         v = v.filter(v.is_valid())
         return pa.table({"v": pc.cast(v, pa.float64())})
 
-    blocks = [t for t in ray.get(arrow_block_refs(
-        ds.select_columns([id_col, val_col]).map_batches(
-            sample, batch_format="pyarrow", zero_copy_batch=True)))
-        if t.num_rows]
-    if not blocks:
+    t = collect(ds.select_columns([id_col, val_col]).map_batches(
+        sample, batch_format="pyarrow", zero_copy_batch=True))
+    if not t.num_rows:
         return pa.table({"q": pa.array([], pa.float64()),
                          "value": pa.array([], pa.float64())})
-    v = np.sort(np.concatenate(
-        [t.column("v").to_numpy(zero_copy_only=False) for t in blocks]))
+    v = np.sort(t.column("v").to_numpy())
     import math
     vals = [float(v[max(math.ceil(q * len(v)) - 1, 0)]) for q in qs]
     return pa.table({"q": pa.array([float(q) for q in qs], pa.float64()),
@@ -1031,13 +1027,10 @@ def detect_hot_keys(ds: ray.data.Dataset, key: str,
         return pa.table({"_k": pa.array(u[starts], pa.int64()),
                          "_n": pa.array(counts, pa.int64())})
 
-    parts = [t for t in ray.get(arrow_block_refs(
-        ds.select_columns([key]).map_batches(
-            partial, batch_format="pyarrow", zero_copy_batch=True)))
-        if t.num_rows]
-    if not parts:
+    t = collect(ds.select_columns([key]).map_batches(
+        partial, batch_format="pyarrow", zero_copy_batch=True))
+    if not t.num_rows:
         return np.array([], dtype=np.int64)
-    t = pa.concat_tables(parts)
     k = t.column("_k").to_numpy(zero_copy_only=False)
     n = t.column("_n").to_numpy(zero_copy_only=False)
     order = np.argsort(k, kind="stable")
@@ -1117,11 +1110,10 @@ def skew_join_rows(left: ray.data.Dataset, right: ray.data.Dataset,
             pos = np.minimum(pos, hot_keys.size - 1)
             return batch.filter(pa.array(hot_keys[pos] == u))
 
-        lparts = [t for t in ray.get(arrow_block_refs(
-            left.map_batches(left_hot, batch_format="pyarrow",
-                             zero_copy_batch=True))) if t.num_rows]
-        if lparts:
-            lhot = pa.concat_tables(lparts).combine_chunks()
+        lhot = collect(left.map_batches(
+            left_hot, batch_format="pyarrow", zero_copy_batch=True))
+        if lhot.num_rows:
+            lhot = lhot.combine_chunks()
             lu = _seg_keys(lhot.column(key_l))
             lorder = np.argsort(lu, kind="stable")
             lhot = lhot.take(pa.array(lorder))

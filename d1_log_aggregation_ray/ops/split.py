@@ -27,7 +27,7 @@ Scale shape (100 TB corpus):
     with the cluster exactly like the dedup partition count
     (ops/dedup.py).  No global sort anywhere.
   - source_stats is a per-batch combiner that collapses each block to
-    <= |sources|x|langs| rows before a single tiny exchange.
+    <= |sources|x|langs| rows, merged on the driver (no exchange).
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import ray
 import ray.data
 
 from ..functions.hashing import md5_lower64_array
+from ..functions.parts import collect, exchange_groups
 
 #: default split percentages (cumulative thresholds over md5 % 100)
 DEFAULT_SPLITS = (("train", 80), ("val", 10), ("test", 10))
@@ -113,8 +114,7 @@ def shuffle_shards(ds: ray.data.Dataset, id_col: str = "doc_id",
 
     keyed_ds = ds.select_columns([id_col]).map_batches(
         keyed, batch_format="pyarrow", zero_copy_batch=True)
-    return keyed_ds.groupby("shard_id").map_groups(
-        rank, batch_format="pyarrow")
+    return exchange_groups(keyed_ds, "shard_id", rank)
 
 
 def _source_sums(partials: ray.data.Dataset, source_col: str,
@@ -122,12 +122,10 @@ def _source_sums(partials: ray.data.Dataset, source_col: str,
     """{source: sum of `col`} over per-block (source, col) partials —
     each block is already collapsed to <= |sources| rows, so the
     driver merges n_blocks x |sources| rows."""
-    from ..functions.parts import arrow_block_refs
-    blocks = [t for t in ray.get(arrow_block_refs(partials)) if t.num_rows]
-    if not blocks:
+    t = collect(partials)
+    if not t.num_rows:
         return {}
-    g = pa.concat_tables(blocks).group_by([source_col]).aggregate(
-        [(col, "sum")])
+    g = t.group_by([source_col]).aggregate([(col, "sum")])
     return dict(zip(g.column(source_col).to_pylist(),
                     g.column(f"{col}_sum").to_pylist()))
 
@@ -273,8 +271,8 @@ def source_stats(ds: ray.data.Dataset, source_col: str = "source",
                  chars_col: str = "n_chars") -> ray.data.Dataset:
     """Per-source corpus composition: (source, n_docs, total_chars,
     n_langs).  Per-batch combiner collapses each block to one row per
-    (source, lang) BEFORE the exchange; the merge + final rollup runs
-    over <= |sources|x|langs| rows."""
+    (source, lang); the driver collects those partials and runs the
+    merge + final rollup over n_blocks x |sources|x|langs| rows."""
 
     def partial(batch: pa.Table) -> pa.Table:
         g = batch.select([source_col, lang_col, chars_col]).group_by(
@@ -283,27 +281,22 @@ def source_stats(ds: ray.data.Dataset, source_col: str = "source",
         return g.rename_columns(
             [source_col, lang_col, "n_docs", "total_chars"])
 
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-
-    def rollup(batch: pa.Table) -> pa.Table:
-        per_pair = batch.group_by([source_col, lang_col]).aggregate(
-            [("n_docs", "sum"), ("total_chars", "sum")])
-        g = per_pair.group_by([source_col]).aggregate(
-            [("n_docs_sum", "sum"), ("total_chars_sum", "sum"),
-             ([], "count_all")])
-        return pa.table({
-            source_col: g.column(source_col),
-            "n_docs": pc.cast(g.column("n_docs_sum_sum"), pa.int64()),
-            "total_chars": pc.cast(g.column("total_chars_sum_sum"),
-                                   pa.int64()),
-            "n_langs": pc.cast(g.column("count_all"), pa.int64()),
-        })
-
-    # the partial stream is tiny (<= pairs-per-block rows per block);
-    # one repartition(1) collapse is a few-hundred-row exchange
-    return partials.repartition(1).map_batches(
-        rollup, batch_format="pyarrow")
+    t = collect(ds.map_batches(partial, batch_format="pyarrow",
+                               zero_copy_batch=True))
+    if not t.num_columns:
+        return ray.data.from_arrow(t)
+    per_pair = t.group_by([source_col, lang_col]).aggregate(
+        [("n_docs", "sum"), ("total_chars", "sum")])
+    g = per_pair.group_by([source_col]).aggregate(
+        [("n_docs_sum", "sum"), ("total_chars_sum", "sum"),
+         ([], "count_all")])
+    return ray.data.from_arrow(pa.table({
+        source_col: g.column(source_col),
+        "n_docs": pc.cast(g.column("n_docs_sum_sum"), pa.int64()),
+        "total_chars": pc.cast(g.column("total_chars_sum_sum"),
+                               pa.int64()),
+        "n_langs": pc.cast(g.column("count_all"), pa.int64()),
+    }))
 
 
 def md5_ranked(ds: ray.data.Dataset, id_col: str) -> ray.data.Dataset:

@@ -21,10 +21,9 @@ import pyarrow.parquet as pq
 
 import ray
 import ray.data
-from ray.data.aggregate import Count, Max, Min, Sum
 
 from ..config import DEFAULT_CONFIG, BUCKET_TASK_CPUS
-from ..functions.parts import arrow_block_refs, exchange, top_n
+from ..functions.parts import arrow_block_refs, collect, exchange, top_n
 from ..gen.fixtures import generate_fixtures
 from ..sources.readers import read_transcripts, load_side_tables
 from ..stages.aggregate import hash_partition_aggregate
@@ -139,9 +138,9 @@ def q_geo_enrich(sf_dir: str):
 
 def _flag_counts(ds: ray.data.Dataset, by: str, extra: list[str]):
     """Per-key counts + boolean-flag sums with a per-batch COMBINER:
-    each batch collapses to <= n_keys partial rows before the groupby,
-    so the all-to-all exchange moves a few rows per block instead of
-    the whole table (the pre-aggregate pattern from SURVEY §7)."""
+    each batch collapses to <= n_keys partial rows, and the driver
+    merges those partials with one Arrow group_by — no exchange moves
+    the table (the pre-aggregate pattern from SURVEY §7)."""
     out_names = ["n_" + c.replace("in_", "").replace("_list", "").replace("is_", "")
                  for c in extra]
 
@@ -154,17 +153,13 @@ def _flag_counts(ds: ray.data.Dataset, by: str, extra: list[str]):
                     **{f"{c}_sum": n for c, n in zip(extra, out_names)}}
         return agg.rename_columns([name_map[c] for c in agg.column_names])
 
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    agg = partials.groupby(by).aggregate(
-        Sum("n_rows"), *[Sum(n) for n in out_names])
-    renames = {f"sum(n_rows)": "n_rows", **{f"sum({n})": n for n in out_names}}
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns(
-            [renames.get(c, c) for c in batch.column_names]).select(
-            [by, "n_rows"] + out_names)
-    return agg.map_batches(rename, batch_format="pyarrow")
+    t = collect(ds.map_batches(partial, batch_format="pyarrow",
+                               zero_copy_batch=True))
+    if t.num_columns:
+        t = t.group_by(by).aggregate(
+            [(n, "sum") for n in ["n_rows"] + out_names])
+        t = t.rename_columns([c.removesuffix("_sum") for c in t.column_names])
+    return ray.data.from_arrow(t)
 
 
 def q_route_counts(sf_dir: str):
@@ -1027,10 +1022,22 @@ def q_sessionize(sf_dir: str):
 def q_events_agg(sf_dir: str):
     ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
                                columns=["event_type", "value"])
-    agg = ds.groupby("event_type").aggregate(Count(), Min("value"), Max("value"))
-    return agg.map_batches(
-        lambda b: b.rename_columns(["event_type", "n", "min_value", "max_value"]),
-        batch_format="pyarrow")
+
+    def partial(batch: pa.Table) -> pa.Table:
+        return batch.group_by("event_type").aggregate(
+            [([], "count_all"), ("value", "min"), ("value", "max")])
+
+    # per-batch partial, then one driver merge: raw rows never cross
+    t = collect(ds.map_batches(partial, batch_format="pyarrow",
+                               zero_copy_batch=True))
+    if t.num_columns:
+        t = t.group_by("event_type").aggregate(
+            [("count_all", "sum"), ("value_min", "min"),
+             ("value_max", "max")])
+        names = {"count_all_sum": "n", "value_min_min": "min_value",
+                 "value_max_max": "max_value"}
+        t = t.rename_columns([names.get(c, c) for c in t.column_names])
+    return ray.data.from_arrow(t)
 
 
 def q_props_extract(sf_dir: str):
@@ -1554,13 +1561,12 @@ def q_regional_revenue(sf_dir: str):
     # the scan already collapsed each partition to <= |region nations|
     # rows, so the final merge is over a nation-bounded set at ANY
     # corpus size — a driver-side sum, not a second exchange
-    parts = [t for t in ray.get(arrow_block_refs(
-        exchange(orders.union(items), "k", join_scan))) if t.num_rows]
-    if not parts:
+    merged = collect(exchange(orders.union(items), "k", join_scan))
+    if not merged.num_rows:
         return pa.table({"n_name": pa.array([], pa.string()),
                          "revenue_c2": pa.array([], pa.int64())})
-    merged = pa.concat_tables(parts).group_by(
-        ["n_nationkey"]).aggregate([("revenue_c2", "sum")])
+    merged = merged.group_by(["n_nationkey"]).aggregate(
+        [("revenue_c2", "sum")])
     nk = merged.column("n_nationkey").to_numpy(zero_copy_only=False)
     return pa.table({
         "n_name": pa.array([nat_names[int(x)] for x in nk], pa.string()),
@@ -1630,12 +1636,12 @@ def q_winsorize(sf_dir: str):
     bounds = grouped_quantiles(
         _events(sf_dir, ["event_type", "value"]), "event_type", "value",
         [0.05, 0.95], value_type=pa.float64())
-    parts = [t for t in ray.get(arrow_block_refs(bounds)) if t.num_rows]
+    b = collect(bounds)
     _empty = pa.schema([("event_id", pa.int64()),
                         ("value_w", pa.float64())])
-    if not parts:
+    if not b.num_rows:
         return _empty.empty_table()
-    b = pa.concat_tables(parts).to_pandas()
+    b = b.to_pandas()
     lo_map = b[b["q"] == 0.05].set_index("event_type")["value"]
     hi_map = b[b["q"] == 0.95].set_index("event_type")["value"]
     types = np.array(sorted(lo_map.index))

@@ -13,7 +13,7 @@ partitioning.  This sink does the classic sample-sort instead:
      the shard ranges; or the caller passes explicit bounds (a
      domain-known layout, reproducible by the SQL oracle).
   2. PARTITION — map_batches assigns shard = searchsorted(bounds, k)
-     (one narrow exchange on the shard id, K ~ cluster size).
+     (one exchange_groups on the shard id, K ~ cluster size).
   3. WRITE — each shard sorts ITS OWN rows in-task and writes one
      parquet file atomically (tmp + rename, the S6 sink idempotency
      analog; a re-run overwrites with identical content).
@@ -37,12 +37,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from ..functions.parts import arrow_block_refs
-
-_MANIFEST_SCHEMA = pa.schema([
-    ("shard_id", pa.int64()), ("path", pa.string()),
-    ("n_rows", pa.int64()), ("min_v", pa.int64()), ("max_v", pa.int64()),
-])
+from ..functions.parts import collect, exchange_groups
 
 
 def sample_range_bounds(ds: ray.data.Dataset, key: str,
@@ -60,14 +55,11 @@ def sample_range_bounds(ds: ray.data.Dataset, key: str,
             k = k[idx]
         return pa.table({"k": pa.array(k.astype(np.int64), pa.int64())})
 
-    parts = [t for t in ray.get(arrow_block_refs(
-        ds.select_columns([key]).map_batches(
-            sample, batch_format="pyarrow", zero_copy_batch=True)))
-        if t.num_rows]
-    if not parts:
+    t = collect(ds.select_columns([key]).map_batches(
+        sample, batch_format="pyarrow", zero_copy_batch=True))
+    if not t.num_rows:
         return []
-    k = np.sort(pa.concat_tables(parts).column("k").to_numpy(
-        zero_copy_only=False))
+    k = np.sort(t.column("k").to_numpy())
     qs = np.linspace(0, len(k) - 1, n_shards + 1)[1:-1].astype(np.int64)
     return sorted(set(int(v) for v in k[qs]))
 
@@ -76,10 +68,11 @@ def export_sorted_parquet(ds: ray.data.Dataset, key: str, out_dir: str,
                           bounds: list[int] | None = None,
                           n_shards: int = 16) -> ray.data.Dataset:
     """Write `ds` as range-partitioned sorted parquet shards under
-    `out_dir`; returns the manifest Dataset (shard_id, path, n_rows,
-    min_v, max_v).  Keys must be integer-valued; rows with NULL keys
-    are dropped.  Shard i holds keys in [bounds[i-1], bounds[i]) —
-    global order = shards in id order, each internally sorted."""
+    `out_dir` when called; returns the materialized manifest
+    (shard_id, path, n_rows, min_v, max_v).  Keys must be
+    integer-valued; rows with NULL keys are dropped.  Shard i holds
+    keys in [bounds[i-1], bounds[i]) — global order = shards in id
+    order, each internally sorted."""
     if bounds is None:
         bounds = sample_range_bounds(ds, key, n_shards)
     b = np.asarray(sorted(bounds), dtype=np.int64)
@@ -96,8 +89,6 @@ def export_sorted_parquet(ds: ray.data.Dataset, key: str, out_dir: str,
                                    pa.array(shard, pa.int64()))
 
     def write_shard(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return _MANIFEST_SCHEMA.empty_table()
         sid = int(group.column("_shard")[0].as_py())
         t = group.drop_columns(["_shard"]).combine_chunks().sort_by(
             [(key, "ascending")])
@@ -113,7 +104,6 @@ def export_sorted_parquet(ds: ray.data.Dataset, key: str, out_dir: str,
             "min_v": pa.array([kv[0].as_py()], pa.int64()),
             "max_v": pa.array([kv[-1].as_py()], pa.int64())})
 
-    return (ds.map_batches(assign, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby("_shard").map_groups(write_shard,
-                                          batch_format="pyarrow"))
+    return exchange_groups(ds.map_batches(assign, batch_format="pyarrow",
+                                          zero_copy_batch=True),
+                           "_shard", write_shard)

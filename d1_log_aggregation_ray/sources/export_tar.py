@@ -12,24 +12,25 @@ shard holds ~capacity bytes (oversized docs push the boundary, never
 split).
 
 Scale shape:
-  pass 1  the pack_shards range-offset pass over the NARROW
+  pass 1  ops/packing.range_scan's offsets pass over the NARROW
           (doc_id, n_bytes) projection: per-range sums via the house
           hash-partition aggregate, driver cumsum over one row per
-          non-empty range, one ray.put broadcast.
-  pass 2  full rows tagged rng = id // range_width; ONE
-          groupby(rng).map_groups computes each row's shard by the
-          broadcast base + local cumsum (vectorized), then ONE
-          groupby(shard_id).map_groups writes each shard's tar inside
-          the task (payload never touches the driver).  Text rides
-          two sort-exchanges — the unavoidable reshard that moves
-          every byte to its output shard, plus the range grouping
-          that globally orders the cumsum; the narrow alternative
-          (pack + distributed join) moves the text the same twice.
+          non-empty range.
+  pass 2  range_scan over the full rows: one exchange_groups on
+          rng = id // range_width computes each row's shard by the
+          range base + local cumsum (vectorized), then ONE
+          exchange_groups on shard_id writes each shard's tar inside
+          the task (payload never touches the driver).
+          Text rides two exchanges — the unavoidable reshard that
+          moves every byte to its output shard, plus the range
+          grouping that globally orders the cumsum; the narrow
+          alternative (pack + distributed join) moves the text the
+          same twice.
   writes  content-complete `.tar.tmp` + atomic rename, skip-if-exists
           — a killed export resumes at shard granularity (S6 sink
           semantics, reference analog LogHarvesterTask.java:446-480).
 
-Determinism: members are ordered by shard_off (= byte offset order),
+Determinism: members are ordered by id (= byte offset order),
 tar headers carry fixed mtime/uid/gid, so a shard's bytes depend only
 on corpus content — re-exports and different cluster sizes produce
 byte-identical shards (tested).
@@ -42,56 +43,19 @@ import json
 import os
 import tarfile
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
 import ray.data
 
-from ..functions.parts import int_key_array
-from ..ops.packing import _ranges
-from ..stages.aggregate import hash_partition_aggregate
-
-_MANIFEST_SCHEMA = pa.schema([
-    ("shard_id", pa.int64()), ("n_docs", pa.int64()),
-    ("n_bytes", pa.int64()), ("path", pa.string()),
-    ("skipped", pa.bool_())])
-
+from ..functions.parts import exchange_groups
+from ..ops.packing import range_scan
 
 def _with_nbytes(batch: pa.Table, text_col: str) -> pa.Table:
     t = pc.fill_null(batch.column(text_col), "")
     return batch.append_column(
         "_nb", pc.cast(pc.binary_length(t), pa.int64()))
-
-
-def _range_offsets(narrow: ray.data.Dataset, id_col: str,
-                   range_width: int):
-    """pack_shards pass 1: exclusive byte offset per id range (one row
-    per non-empty range on the driver — tiny), broadcast once."""
-    def range_partial(batch: pa.Table) -> pa.Table:
-        ids = int_key_array(batch.column(id_col))
-        nb = int_key_array(batch.column("_nb"))
-        rng = _ranges(ids, range_width)
-        order = np.argsort(rng, kind="stable")
-        r_s, b_s = rng[order], nb[order]
-        starts = np.flatnonzero(np.r_[True, r_s[1:] != r_s[:-1]])
-        return pa.table({
-            "rng": pa.array(r_s[starts]),
-            "b": pa.array(np.add.reduceat(b_s, starts)
-                          if len(starts) else
-                          np.array([], dtype=np.int64))})
-
-    totals = hash_partition_aggregate(
-        narrow.map_batches(range_partial, batch_format="pyarrow",
-                           zero_copy_batch=True),
-        ["rng"], [("b", "sum")], rename={"b_sum": "b"})
-    rows = totals.take_all()
-    rng_sorted = np.array(sorted(r["rng"] for r in rows), dtype=np.int64)
-    by_rng = {r["rng"]: r["b"] for r in rows}
-    b_sorted = np.array([by_rng[r] for r in rng_sorted], dtype=np.int64)
-    offs = np.concatenate(([0], np.cumsum(b_sorted)[:-1]))
-    return ray.put((rng_sorted, offs))
 
 
 def export_tar_shards(ds: ray.data.Dataset, out_dir: str,
@@ -100,89 +64,51 @@ def export_tar_shards(ds: ray.data.Dataset, out_dir: str,
                       text_col: str = "text",
                       meta_cols: tuple[str, ...] = ()
                       ) -> ray.data.Dataset:
-    """Pack `ds` into byte-budget tar shards under `out_dir`; returns
-    the shard manifest Dataset (shard_id, n_docs, n_bytes, path,
-    skipped) — consume it to drive the export.  ids must be unique
+    """Pack `ds` into byte-budget tar shards under `out_dir`, writing
+    them when called; returns the materialized shard manifest
+    (shard_id, n_docs, n_bytes, path, skipped).  ids must be unique
     ints (the pack_shards PK contract)."""
     os.makedirs(out_dir, exist_ok=True)
     cols = [id_col, text_col, *meta_cols]
     base = ds.select_columns(cols).map_batches(
         _with_nbytes, batch_format="pyarrow", zero_copy_batch=True,
         fn_kwargs={"text_col": text_col})
-    off_ref = _range_offsets(base.select_columns([id_col, "_nb"]),
-                             id_col, range_width)
-
-    def add_rng(batch: pa.Table) -> pa.Table:
-        ids = int_key_array(batch.column(id_col))
-        return batch.append_column(
-            "_rng", pa.array(_ranges(ids, range_width)))
-
-    def assign(group: pa.Table, *, off) -> pa.Table:
-        rng_v, off_v = ray.get(off) if isinstance(
-            off, ray.ObjectRef) else off
-        if group.num_rows == 0:
-            return group.drop_columns(["_rng"]).append_column(
-                "shard_id", pa.array([], pa.int64())).append_column(
-                "shard_off", pa.array([], pa.int64()))
-        ids = int_key_array(group.column(id_col))
-        nb = int_key_array(group.column("_nb"))
-        order = np.argsort(ids, kind="stable")
-        nb_s = nb[order]
-        base_off = off_v[np.searchsorted(
-            rng_v, group.column("_rng")[0].as_py())]
-        cumb = base_off + np.concatenate(([0], np.cumsum(nb_s)[:-1]))
-        g = group.take(pa.array(order)).drop_columns(["_rng"])
-        return g.append_column(
-            "shard_id", pa.array(cumb // capacity)).append_column(
-            "shard_off", pa.array(cumb % capacity))
-
-    assigned = (base.map_batches(add_rng, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-                .groupby("_rng")
-                .map_groups(assign, batch_format="pyarrow",
-                            fn_kwargs={"off": off_ref}))
+    assigned = range_scan(base, id_col, "_nb", range_width, capacity)
 
     def write_shard(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return _MANIFEST_SCHEMA.empty_table()
         sid = int(group.column("shard_id")[0].as_py())
         path = os.path.join(out_dir, f"shard-{sid:06d}.tar")
-        nb = group.column("_nb").to_numpy(zero_copy_only=False)
-        if os.path.exists(path):
-            return pa.table({
-                "shard_id": pa.array([sid], pa.int64()),
-                "n_docs": pa.array([group.num_rows], pa.int64()),
-                "n_bytes": pa.array([int(nb.sum())], pa.int64()),
-                "path": pa.array([path]),
-                "skipped": pa.array([True])})
-        group = group.sort_by([("shard_off", "ascending")])
-        ids = group.column(id_col).to_pylist()
-        texts = pc.fill_null(group.column(text_col), "").to_pylist()
-        metas = {c: group.column(c).to_pylist() for c in meta_cols}
-        tmp = path + ".tmp"
-        # per-member python is inherent to the tar container format;
-        # the payload bytes are written straight from the arrow values
-        with tarfile.open(tmp, "w") as tf:
-            for i, did in enumerate(ids):
-                payload = texts[i].encode("utf-8")
-                meta = json.dumps(
-                    {"doc_id": did,
-                     **{c: metas[c][i] for c in meta_cols}},
-                    sort_keys=True).encode("utf-8")
-                for suffix, data in ((".txt", payload), (".json", meta)):
-                    ti = tarfile.TarInfo(name=f"{did:012d}{suffix}")
-                    ti.size = len(data)
-                    ti.mtime = 0
-                    ti.uid = ti.gid = 0
-                    ti.uname = ti.gname = ""
-                    tf.addfile(ti, io.BytesIO(data))
-        os.replace(tmp, path)
+        skipped = os.path.exists(path)
+        if not skipped:
+            ordered = group.sort_by(id_col)
+            ids = ordered.column(id_col).to_pylist()
+            texts = pc.fill_null(ordered.column(text_col), "").to_pylist()
+            metas = {c: ordered.column(c).to_pylist() for c in meta_cols}
+            tmp = path + ".tmp"
+            # per-member python is inherent to the tar container format;
+            # the payload bytes are written straight from the arrow values
+            with tarfile.open(tmp, "w") as tf:
+                for i, did in enumerate(ids):
+                    payload = texts[i].encode("utf-8")
+                    meta = json.dumps(
+                        {"doc_id": did,
+                         **{c: metas[c][i] for c in meta_cols}},
+                        sort_keys=True).encode("utf-8")
+                    for suffix, data in ((".txt", payload),
+                                         (".json", meta)):
+                        ti = tarfile.TarInfo(name=f"{did:012d}{suffix}")
+                        ti.size = len(data)
+                        ti.mtime = 0
+                        ti.uid = ti.gid = 0
+                        ti.uname = ti.gname = ""
+                        tf.addfile(ti, io.BytesIO(data))
+            os.replace(tmp, path)
         return pa.table({
             "shard_id": pa.array([sid], pa.int64()),
             "n_docs": pa.array([group.num_rows], pa.int64()),
-            "n_bytes": pa.array([int(nb.sum())], pa.int64()),
+            "n_bytes": pa.array([pc.sum(group.column("_nb")).as_py()],
+                                pa.int64()),
             "path": pa.array([path]),
-            "skipped": pa.array([False])})
+            "skipped": pa.array([skipped])})
 
-    return assigned.groupby("shard_id").map_groups(
-        write_shard, batch_format="pyarrow")
+    return exchange_groups(assigned, "shard_id", write_shard)

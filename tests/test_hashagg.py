@@ -196,3 +196,118 @@ def test_exchange_fn_exception_keeps_its_type():
     with pytest.raises(Boom, match="bad partition"):
         exchange(_ds(t), "k", fn).to_pandas()
 
+
+
+def _group_counts(seen: list | None = None):
+    """fn for exchange_groups: one row per call, (key, rows, calls=1)."""
+    def fn(group: pa.Table) -> pa.Table:
+        assert group.num_rows > 0
+        k = group.column("k").unique()
+        assert len(k) == 1               # one key value per call
+        return pa.table({"k": k, "n": pa.array([group.num_rows]),
+                         "calls": pa.array([1])})
+    return fn
+
+
+def test_exchange_groups_one_call_per_key(monkeypatch):
+    """Many keys share each partition (P = 8, 300 keys), and
+    exchange_groups still calls fn once per key value."""
+    monkeypatch.setattr(parts, "_cpus", lambda: 4)    # P = 8
+    rng = np.random.RandomState(5)
+    t = pa.table({"k": pa.array(rng.randint(0, 300, 6000)),
+                  "v": pa.array(np.arange(6000))})
+    got = parts.exchange_groups(_blocks(t, 10), "k",
+                                _group_counts()).to_pandas()
+    assert (got["calls"] == 1).all()
+    _check(got, _pandas_counts(t))
+    assert len(got) == 300 > parts.hash_parts()
+
+
+def test_exchange_groups_null_keys_form_one_group():
+    n = 2000
+    ints = pa.table({"k": pa.array(
+        [None if i % 7 == 0 else i % 30 for i in range(n)], pa.int64()),
+        "v": pa.array(np.arange(n))})
+    strs = pa.table({"k": pa.array(
+        [None if i % 5 == 0 else f"s{i % 20}" for i in range(n)]),
+        "v": pa.array(np.arange(n))})
+    for t in (ints, strs):
+        got = parts.exchange_groups(_blocks(t, 8), "k",
+                                    _group_counts()).to_pandas()
+        _check(got, _pandas_counts(t))
+        assert got["k"].isna().sum() == 1
+
+
+def test_exchange_groups_zero_row_input_gives_zero_row_dataset():
+    t = pa.table({"k": pa.array([1, 2], pa.int64()),
+                  "v": pa.array([1, 2])})
+    out = parts.exchange_groups(_ds(t).filter(expr="v > 10"), "k",
+                                _group_counts())
+    assert out.count() == 0
+    assert out.to_pandas().empty
+
+
+def test_exchange_groups_rows_match_pandas():
+    """fn sees each key's rows in input order: a per-key running sum
+    equals pandas' groupby cumsum."""
+    rng = np.random.RandomState(11)
+    t = pa.table({"k": pa.array([f"u{v}" for v in rng.randint(0, 40, 3000)]),
+                  "v": pa.array(rng.randint(-50, 50, 3000))})
+
+    def running(group: pa.Table) -> pa.Table:
+        v = group.column("v").to_numpy()
+        return group.append_column("cum", pa.array(np.cumsum(v)))
+
+    got = parts.exchange_groups(ray.data.from_arrow(t), "k",
+                                running).to_pandas()
+    want = t.to_pandas()
+    want["cum"] = want.groupby("k")["v"].cumsum()
+    key = ["k", "v", "cum"]
+    pd.testing.assert_frame_equal(
+        got[key].sort_values(key).reset_index(drop=True),
+        want[key].sort_values(key).reset_index(drop=True))
+
+
+_FAIL_SCRIPT = """
+import gc, time
+import pyarrow as pa
+import ray, ray.data
+ray.init(address="local", num_cpus=2, include_dashboard=False)
+from d1_log_aggregation_ray.functions.parts import (exchange, hash_parts,
+                                                    part_ids)
+
+class Boom(ValueError):
+    pass
+
+def fn(group):
+    raise Boom("bad partition")
+
+keys = pa.array([0, 1, 2])
+assert len(set(part_ids(keys, hash_parts()))) == 3   # three partitions
+t = pa.table({"k": pa.concat_arrays([keys] * 10), "v": list(range(30))})
+try:
+    exchange(ray.data.from_arrow(t), "k", fn)
+except Boom:
+    print("caught Boom")
+gc.collect()
+time.sleep(2)   # Ray logs an unhandled task error when its ref is freed
+ray.shutdown()
+"""
+
+
+def test_exchange_failing_partitions_leave_no_unhandled_errors():
+    """fn raising in three partitions raises its own type once, and
+    no failed task is left for Ray to log as an unhandled error."""
+    import os
+    import subprocess
+    import sys
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (repo, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _FAIL_SCRIPT],
+                          capture_output=True, text=True, env=env,
+                          cwd=repo, timeout=180)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    assert "caught Boom" in proc.stdout
+    assert "Unhandled error" not in proc.stderr, proc.stderr[-3000:]

@@ -1,19 +1,23 @@
 """A 1-CPU cluster runs the harvest, the repeat-visit query, the
-export, the compaction and an exchange query to completion.  The
-per-bucket stages request config.BUCKET_TASK_CPUS (< 1 CPU) so that Ray
-does not fuse them with the per-slice stage; a request above 1 CPU
-could never be scheduled on such a pool, and the entry point would
-hang.  All five run in one subprocess under one timeout."""
+export, the tar-shard export, the compaction and an exchange query to
+completion.  The per-bucket stages request config.BUCKET_TASK_CPUS
+(< 1 CPU) so that Ray does not fuse them with the per-slice stage; a
+request above 1 CPU could never be scheduled on such a pool, and the
+entry point would hang.  All six run in one subprocess under one timeout."""
 
 import json
 import os
 import signal
 import subprocess
 import sys
+import tarfile
 
 import pytest
 
+from test_oracle_parity import SF_DIR
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DOCS = os.path.join(SF_DIR, "documents.parquet")
 TIMEOUT_S = 240
 
 _SCRIPT = """
@@ -25,18 +29,23 @@ from d1_log_aggregation_ray.pipelines.queries import (q_conv_dedup,
                                                       q_repeat_visit)
 from d1_log_aggregation_ray.sources.compact import compact_output
 from d1_log_aggregation_ray.sources.export import export_conversations_jsonl
-fx, out = sys.argv[1], sys.argv[2]
+from d1_log_aggregation_ray.sources.export_tar import export_tar_shards
+fx, out, docs = sys.argv[1], sys.argv[2], sys.argv[3]
 s = run_harvest(fx, os.path.join(out, "harvest"), resume=False)
 rv = q_repeat_visit(fx).take_all()
 exp = export_conversations_jsonl(fx, os.path.join(out, "export")).take_all()
 comp = compact_output(os.path.join(out, "harvest")).take_all()
 conv = q_conv_dedup(fx).take_all()
+docs = ray.data.read_parquet(docs, columns=["doc_id", "text"])
+tar = export_tar_shards(docs, os.path.join(out, "tar"),
+                        capacity=8192).take_all()
 print(json.dumps({"rows": s["rows_out_total"],
                   "repeat": s["is_repeat_visit"],
                   "q_repeat": sum(bool(r["is_repeat_visit"]) for r in rv),
                   "export_turns": sum(r["n_turns"] for r in exp),
                   "compact_leaves": len(comp),
-                  "conv_dedup": sorted(r["conv_id"] for r in conv)}))
+                  "conv_dedup": sorted(r["conv_id"] for r in conv),
+                  "tar_paths": [r["path"] for r in tar]}))
 ray.shutdown()
 """
 
@@ -52,7 +61,7 @@ def test_harvest_on_one_cpu(fx_dir, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (REPO, env.get("PYTHONPATH")) if p)
     proc = subprocess.Popen(
-        [sys.executable, "-c", _SCRIPT, fx_dir, str(tmp_path)],
+        [sys.executable, "-c", _SCRIPT, fx_dir, str(tmp_path), DOCS],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env=env, cwd=REPO, start_new_session=True)
     try:
@@ -80,3 +89,11 @@ def test_harvest_on_one_cpu(fx_dir, tmp_path):
     # suite's 4-CPU pool
     assert got["conv_dedup"] == sorted(
         r["conv_id"] for r in q_conv_dedup(fx_dir).take_all())
+    # the tar shards, written through two exchanges, hold every doc once
+    members = []
+    for p in got["tar_paths"]:
+        with tarfile.open(p) as tf:
+            members += [int(n[:-4]) for n in tf.getnames()
+                        if n.endswith(".txt")]
+    ids = pq.read_table(DOCS, columns=["doc_id"]).column("doc_id")
+    assert sorted(members) == sorted(ids.to_pylist())
