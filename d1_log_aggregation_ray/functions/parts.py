@@ -7,29 +7,33 @@ calls `fn` once per non-empty partition.  This module alone decides
 how that happens: the partition count (`hash_parts`, scaled with the
 cluster's CPUs), the partition hash (`part_ids`: integers through a
 golden-ratio mix, fixed-size binary by its low 64 bits, everything
-else by md5-low64), and that `fn` never sees a zero-row group.
-Callers emit a key column and never a partition id; a key that is
-already a 64-bit hash is passed as an int64 or uint64 column so it
-is mixed, never md5'd again.
+else by md5-low64), and that `fn` never sees a partition without
+rows.  Callers emit a key column and never a partition id; a key
+that is already a 64-bit hash is passed as an int64 or uint64 column
+so it is mixed, never md5'd again.  A join passes its sides as a
+sequence of Datasets: each keeps its own columns, and `fn` receives
+one table per side, so no side tag, padding column or union schema
+is built.
 
 The backend is a raw M x P task exchange: one mapper task per
-non-empty input block cuts it into P slices (`part_ids` plus one
-stable argsort) and returns them with its P per-partition row
-counts; one reducer task per partition that received rows
-concatenates its slices and calls `fn` once.  No sample pass, range
-sort or merge runs, and no empty partition is ever emitted: the
-output has one block per non-empty partition.  `exchange` runs its
-input and both task waves when it is called (not lazily) and returns
-a materialized Dataset; up to M x P slices sit in the object store
-at once, the same bound a sort shuffle has.  The partition of a key
-depends on P, so the ROW ORDER of an exchange's output depends on
-the cluster size and is unspecified; only the set of output rows
-is.  Partitioning assumption: one partition of the shuffled rows
-fits in a worker's heap; P scales with the cluster, so at N x the
-data on N x the nodes the per-partition size is constant.  An
-exception in `fn` comes back in the reducer's error slot, so a
-failure in several partitions raises the first one and leaves no
-failed task behind.
+non-empty block of every input cuts it into P slices (`part_ids`
+plus one stable argsort) and returns them with its P per-partition
+row counts; one reducer task per partition that received rows from
+any input concatenates each input's slices and calls `fn` once.  No
+sample pass, range sort or merge runs, and no empty partition is
+ever emitted: the output has one block per non-empty partition.
+`exchange` runs its inputs (one after another) and both task waves
+when it is called (not lazily) and returns a materialized Dataset;
+up to M x P slices sit in the object store at once, the same bound a
+sort shuffle has.  The partition of a key depends on P, so the ROW
+ORDER of an exchange's output depends on the cluster size and is
+unspecified; only the set of output rows is.  Partitioning
+assumption: one partition of the shuffled rows fits in a worker's
+heap; P scales with the cluster, so at N x the data on N x the nodes
+the per-partition size is constant.  An exception in a mapper or in
+`fn` comes back in the task's own count or error slot, so a failure
+in several tasks raises the first one and leaves no failed task
+behind.
 
 `exchange_groups(ds, key, fn)` is the per-value form: each reducer
 stable-sorts its partition on `key` and calls `fn` once per run of
@@ -47,8 +51,10 @@ tree's fan-in and the driver's bound live here.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import traceback
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 import pyarrow as pa
@@ -125,55 +131,101 @@ def part_ids(col, n_parts: int) -> np.ndarray:
 
 @ray.remote
 def _split(block, key: str, n_parts: int) -> tuple:
-    """Mapper: (rows per partition, *one slice per partition)."""
-    block = BlockAccessor.for_block(block).to_arrow()
-    p = part_ids(block.column(key), n_parts)
-    block = block.take(pa.array(np.argsort(p, kind="stable")))
-    counts = np.bincount(p, minlength=n_parts)
-    ends = np.cumsum(counts)
-    return (counts, *(block.slice(e - c, c) for e, c in zip(ends, counts)))
+    """Mapper: (rows per partition, *one slice per partition), or
+    (its exception with the worker's traceback as a note, *P empty
+    tables): a mapper never fails, so no return of it is left for Ray
+    to log as an unhandled error."""
+    try:
+        block = BlockAccessor.for_block(block).to_arrow()
+        p = part_ids(block.column(key), n_parts)
+        block = block.take(pa.array(np.argsort(p, kind="stable")))
+        counts = np.bincount(p, minlength=n_parts)
+        ends = np.cumsum(counts)
+        return (counts,
+                *(block.slice(e - c, c) for e, c in zip(ends, counts)))
+    except Exception as e:
+        e.add_note(traceback.format_exc())
+        return (e, *[pa.table({})] * n_parts)
 
 
 @ray.remote(num_returns=2)
-def _reduce(fn, *slices) -> tuple:
+def _reduce(fn, *slices, lens: tuple | None = None) -> tuple:
     """Reducer: (fn's table, None), or (an empty table, fn's exception
-    with the worker's traceback as a note).  A reducer never fails, so
-    no task reading its table fails and is left for Ray to log as an
-    unhandled error."""
+    with the worker's traceback as a note).  `lens` cuts `slices` into
+    one run per input (one input when None).  A reducer never fails,
+    so no task reading its table fails and is left for Ray to log as
+    an unhandled error."""
     try:
-        return fn(pa.concat_tables(slices, promote_options="default")), None
+        lens = lens or (len(slices),)
+        return fn(*(pa.concat_tables(slices[e - n:e],
+                                     promote_options="default")
+                    for e, n in zip(np.cumsum(lens), lens))), None
     except Exception as e:
         e.add_note(traceback.format_exc())
         return pa.table({}), e
 
 
-def exchange(ds: ray.data.Dataset, key: str,
-             fn: Callable[[pa.Table], pa.Table]) -> ray.data.Dataset:
+def _empty_of(ds: ray.data.Dataset) -> pa.Table:
+    """`ds`'s zero-row table (`pa.table({})` when it has no schema);
+    `ds.schema()` runs the plan to find it."""
+    found = ds.schema()
+    if found is None:
+        return pa.table({})
+    return getattr(found, "base_schema", found).empty_table()
+
+
+def exchange(ds: ray.data.Dataset | Sequence[ray.data.Dataset], key: str,
+             fn: Callable[..., pa.Table]) -> ray.data.Dataset:
     """Hash-partition `ds` on `key` into hash_parts() partitions and
     return the union of `fn(partition)` over every non-empty one.
 
     Every row with an equal `key` lands in the same call; one call
     sees many keys, so `fn` is a vectorized scan over its whole
     partition.  `fn` receives the rows' own columns and never a
-    zero-row group.  Two-sided co-partition joins pass
-    `left.union(right)` with a side tag.  Runs eagerly: the returned
-    Dataset is materialized, one block per non-empty partition (none
-    for a zero-row input); an exception in `fn` raises here with its
-    own type."""
+    partition without rows.
+
+    `ds` may be a sequence of Datasets (a join's sides): each must
+    carry `key`, of one kind across inputs (integer of any width,
+    fixed-size binary, or other), and `fn(*parts)` then receives one
+    table per input, in input order, for every partition that holds
+    rows of ANY input.  An input without rows in that partition
+    arrives as a zero-row table with its columns: one of its mappers'
+    empty slices, or `ds.schema()`'s only when the input has no rows
+    at all.  Such an input may have no schema either (a Ray map never
+    runs on a zero-row block, so a map over no rows yields none); it
+    then arrives as `pa.table({})`, with no columns, in every call.
+
+    Runs eagerly: the returned Dataset is materialized, one block per
+    non-empty partition (none for a zero-row input); an exception in
+    a mapper or in `fn` raises here with its own type."""
+    inputs = [ds] if isinstance(ds, ray.data.Dataset) else list(ds)
     P = hash_parts()
     split = _split.options(num_returns=P + 1)
-    # one mapper per block as the input streams out; zero-row blocks
-    # may be schemaless (Ray's own maps never see them) and are skipped
-    outs = [split.remote(ref, key, P)
-            for bundle in ds.iter_internal_ref_bundles()
-            for ref, meta in bundle.blocks if meta.num_rows != 0]
-    counts = ray.get([o[0] for o in outs])
+    # one mapper per block as each input streams out, the inputs one
+    # after another; zero-row blocks may be schemaless (Ray's own maps
+    # never see them) and are skipped
+    outs = [[split.remote(ref, key, P)
+             for bundle in d.iter_internal_ref_bundles()
+             for ref, meta in bundle.blocks if meta.num_rows != 0]
+            for d in inputs]
+    counts = [ray.get([o[0] for o in side]) for side in outs]
+    for c in itertools.chain(*counts):
+        if isinstance(c, Exception):
+            raise c
     fn_ref = ray.put(fn)
+    empty = functools.cache(lambda i: ray.put(_empty_of(inputs[i])))
     reduced = []
     for j in range(1, P + 1):
-        slices = [o[j] for o, c in zip(outs, counts) if c[j - 1]]
-        if slices:
-            reduced.append(_reduce.remote(fn_ref, *slices))
+        per = [[o[j] for o, c in zip(side, cs) if c[j - 1]]
+               for side, cs in zip(outs, counts)]
+        if not any(per):
+            continue
+        # an input without rows here: a zero-row slice of its own
+        for i, side in enumerate(outs):
+            if not per[i]:
+                per[i] = [side[0][j] if side else empty(i)]
+        kw = {"lens": tuple(map(len, per))} if len(per) > 1 else {}
+        reduced.append(_reduce.remote(fn_ref, *itertools.chain(*per), **kw))
     out = ray.data.from_arrow_refs([t for t, _ in reduced])
     # every reducer has finished: its error slot is a local get
     for err in ray.get([e for _, e in reduced]):
@@ -306,9 +358,4 @@ def top_n(ds: ray.data.Dataset, n: int, by: list, *,
     out = _concat_cut(ray.get(refs), n, by, per)
     if out.num_columns:
         return out
-    if schema is None:
-        found = ds.schema()
-        if found is None:
-            return out
-        schema = getattr(found, "base_schema", found)
-    return schema.empty_table()
+    return _empty_of(ds) if schema is None else schema.empty_table()

@@ -761,8 +761,8 @@ def ngram_jaccard_dedup(ds: ray.data.Dataset, threshold: float = 0.8,
 
     Text never rides the band shuffle: phase 1 is the same narrow
     (band_key, id) partition scan as minhash, emitting only the rows
-    of MULTI-doc buckets (candidates); phase 2 is one id-keyed union
-    co-partition of those candidates with the corpus's (id, text)
+    of MULTI-doc buckets (candidates); phase 2 is one id-keyed
+    two-input exchange of those candidates and the corpus's (id, text)
     rows, which attaches each candidate's text and turns every corpus
     row into its doc's narrow home row (no text: the survivor
     universe); phase 3 verifies per candidate bucket and emits the
@@ -779,53 +779,40 @@ def ngram_jaccard_dedup(ds: ray.data.Dataset, threshold: float = 0.8,
                             batch_format="pyarrow")
 
     def multi_buckets(group: pa.Table) -> pa.Table:
-        """Candidate rows (home=0) of this partition's multi-doc
-        buckets; their text is attached in phase 2."""
+        """Candidate rows of this partition's multi-doc buckets; their
+        text is attached in phase 2."""
         keys = group.column("band_key").to_numpy()
         ids = group.column(id_col).to_numpy()
         k, i, starts, counts, _ = _bucket_segments(keys, ids)
         keep = np.repeat(counts > 1, counts)
-        n = int(keep.sum())
         return pa.table({"band_key": pa.array(k[keep].view(np.int64)),
-                         id_col: pa.array(i[keep]),
-                         "home": pa.array(np.zeros(n, np.int8)),
-                         text_col: pa.nulls(n, pa.string())})
+                         id_col: pa.array(i[keep])})
 
-    def text_rows(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({"band_key": pa.array(np.zeros(n, np.int64)),
-                         id_col: batch.column(id_col),
-                         "home": pa.array(np.ones(n, np.int8)),
-                         text_col: pc.cast(batch.column(text_col),
-                                           pa.string())})
-
-    def attach_texts(group: pa.Table) -> pa.Table:
-        """One id partition: candidates take the text of the corpus
-        row with their id (always co-located here); each corpus row
-        leaves as its doc's narrow home row, keyed by its id so the
-        verify exchange spreads the home rows evenly."""
-        home = group.column("home").to_numpy() == 1
-        ids = group.column(id_col).to_numpy()
-        tids, cids = ids[home], ids[~home]
+    def attach_texts(cand: pa.Table, docs: pa.Table) -> pa.Table:
+        """One id partition: candidates (home=0) take the text of the
+        corpus row with their id (always co-located here); each corpus
+        row leaves as its doc's narrow home row (home=1), keyed by its
+        id so the verify exchange spreads the home rows evenly."""
+        tids = docs.column(id_col).to_numpy()
+        cids = cand.column(id_col).to_numpy()
         order = np.argsort(tids, kind="stable")
         pos = order[np.minimum(np.searchsorted(tids[order], cids),
                                max(len(tids) - 1, 0))]
-        texts = group.column(text_col).filter(pa.array(home))
         return pa.table({
             "band_key": pa.array(np.concatenate(
-                [group.column("band_key").to_numpy()[~home],
+                [cand.column("band_key").to_numpy(),
                  tids.astype(np.int64)])),
             id_col: pa.array(np.concatenate([cids, tids])),
             "home": pa.array(np.concatenate(
                 [np.zeros(len(cids), np.int8), np.ones(len(tids), np.int8)])),
             text_col: pa.concat_arrays(
-                [texts.take(pa.array(pos, pa.int64())).combine_chunks(),
+                [pc.cast(docs.column(text_col), pa.string()).take(
+                    pa.array(pos, pa.int64())).combine_chunks(),
                  pa.nulls(len(tids), pa.string())]),
         })
 
-    texts = ds.select_columns([id_col, text_col]).map_batches(
-        text_rows, batch_format="pyarrow", zero_copy_batch=True)
-    cand = exchange(exchange(band, "band_key", multi_buckets).union(texts),
+    texts = ds.select_columns([id_col, text_col])
+    cand = exchange([exchange(band, "band_key", multi_buckets), texts],
                     id_col, attach_texts)
 
     def verify_partition(group: pa.Table) -> pa.Table:
@@ -1283,9 +1270,6 @@ def incremental_exact_dedup(ds: ray.data.Dataset,
     return exchange(tagged, "fp", scan)
 
 
-_PRIOR_SENTINEL = np.int64(-(1 << 62))  # beats every real doc id
-
-
 def build_minhash_index(ds: ray.data.Dataset, index_dir: str,
                         num_perm: int = 64, n_bands: int = 16,
                         id_col: str = "doc_id",
@@ -1519,26 +1503,18 @@ def incremental_minhash_dedup(new_ds: ray.data.Dataset, index_dir: str,
     the prior corpus.
 
     ONE pass over the new docs, ONE exchange: new band rows and index
-    rows meet in one exchange on band_key (the index stores keys, never
-    partition ids, so a build on one cluster size and a query on
-    another co-locate equal keys), the partition scan treats index
-    rows as sentinel ids smaller than every real id (so any bucket
-    shared with the prior corpus marks all its new docs), and the
-    usual marks-only survivor tail finishes.  The index
-    read is prune-at-the-read narrow (one int64 column).  New doc
-    ids must be non-negative (the sentinel contract)."""
+    rows meet in one two-input exchange on band_key (the index stores
+    keys, never partition ids, so a build on one cluster size and a
+    query on another co-locate equal keys), the partition scan marks
+    every new doc of a bucket the prior corpus shares plus every doc
+    beaten by a smaller new id, and the usual marks-only survivor
+    tail finishes.  The index read is prune-at-the-read narrow (one
+    int64 column)."""
     sigs = _signatures(new_ds, num_perm, text_col, id_col)
     band = sigs.map_batches(_band_rows,
                             fn_kwargs={"n_bands": n_bands,
                                        "id_col": id_col},
                             batch_format="pyarrow")
-
-    def index_rows(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "band_key": batch.column("band_key"),
-            id_col: pa.array(np.full(n, _PRIOR_SENTINEL)),
-            "home": pa.array(np.zeros(n, np.int8))})
 
     # the build writes one file per hash partition, which at small
     # corpus sizes means many tiny files; one read task per tiny file
@@ -1554,19 +1530,20 @@ def incremental_minhash_dedup(new_ds: ray.data.Dataset, index_dir: str,
     n_blocks = max(1, min(len(files) or 1, total // (8 << 20)))
     idx = ray.data.read_parquet(
         files or index_dir, columns=["band_key"],
-        override_num_blocks=n_blocks).map_batches(
-        index_rows, batch_format="pyarrow", zero_copy_batch=True)
+        override_num_blocks=n_blocks)
 
-    def partition_scan(group: pa.Table) -> pa.Table:
-        keys = group.column("band_key").to_numpy()
-        ids = group.column(id_col).to_numpy()
-        home = group.column("home").to_numpy()
-        _, i, starts, counts, _ = _bucket_segments(keys, ids)
-        bmin_per_row = np.repeat(i[starts], counts)
-        beat = i[(bmin_per_row < i) & (i != _PRIOR_SENTINEL)]
-        return _marks_table(id_col, ids[home == 1], np.unique(beat))
+    def partition_scan(new: pa.Table, prior: pa.Table) -> pa.Table:
+        if not new.num_rows:      # maybe no columns: no new docs at all
+            return pa.table({})
+        ids = new.column(id_col).to_numpy()
+        home_ids = ids[new.column("home").to_numpy() == 1]
+        k, i, starts, counts, _ = _bucket_segments(
+            new.column("band_key").to_numpy(), ids)
+        beat = (np.repeat(i[starts], counts) < i) | np.isin(
+            k, prior.column("band_key").to_numpy())
+        return _marks_table(id_col, home_ids, np.unique(i[beat]))
 
-    return _survivors(exchange(band.union(idx), "band_key", partition_scan),
+    return _survivors(exchange([band, idx], "band_key", partition_scan),
                       id_col)
 
 

@@ -350,45 +350,42 @@ def anti_join_keys(left: ray.data.Dataset, right: ray.data.Dataset,
     right (SQL `left_key NOT IN (SELECT right_key FROM right)` for
     non-null keys) — one column of surviving left keys.
 
-    Scale shape (both sides large): the union co-partition pattern
+    Scale shape (both sides large): the co-partition join pattern
     (q_top_orders) — both sides emit the same int64 key column `k`,
-    ONE `exchange` of their union co-locates them, and a
-    vectorized searchsorted scan per partition emits the misses.  The
-    right side is deduplicated per block BEFORE the exchange (a
-    membership probe needs each key once), so the shuffle carries
-    unique-right + left keys, nothing wider.  No broadcast: neither
-    side needs to fit anywhere whole."""
+    ONE two-input `exchange` co-locates them, and a vectorized
+    searchsorted scan per partition emits the misses.  The right side
+    is deduplicated per block BEFORE the exchange (a membership probe
+    needs each key once), so the shuffle carries unique-right + left
+    keys, nothing wider.  No broadcast: neither side needs to fit
+    anywhere whole."""
 
-    def _rows(batch: pa.Table, *, key: str, side: int) -> pa.Table:
-        col = batch.column(key)
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        k = pc.cast(col, pa.int64()).drop_null().to_numpy(
+    def _rows(batch: pa.Table, *, key: str, unique: bool) -> pa.Table:
+        k = pc.cast(batch.column(key), pa.int64()).drop_null().to_numpy(
             zero_copy_only=False)
-        if side == 1:
-            k = np.unique(k)  # per-block combiner: membership only
-        return pa.table({
-            "k": pa.array(k),
-            "side": pa.array(np.full(len(k), side, np.int8))})
+        # per-block combiner on the right: membership only
+        return pa.table({"k": pa.array(np.unique(k) if unique else k)})
 
     l_rows = left.select_columns([left_key]).map_batches(
         _rows, batch_format="pyarrow", zero_copy_batch=True,
-        fn_kwargs={"key": left_key, "side": 0})
+        fn_kwargs={"key": left_key, "unique": False})
     r_rows = right.select_columns([right_key]).map_batches(
         _rows, batch_format="pyarrow", zero_copy_batch=True,
-        fn_kwargs={"key": right_key, "side": 1})
+        fn_kwargs={"key": right_key, "unique": True})
 
-    def scan(group: pa.Table) -> pa.Table:
-        side = group.column("side").to_numpy(zero_copy_only=False)
-        k = group.column("k").to_numpy(zero_copy_only=False)
-        lk, rk = k[side == 0], np.unique(k[side == 1])
+    def scan(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        # a side with no rows at all may come without columns: no left
+        # keys, or every left key survives
+        if not (lt.num_columns and rt.num_columns):
+            return lt.rename_columns([left_key] * lt.num_columns)
+        lk = lt.column("k").to_numpy(zero_copy_only=False)
+        rk = np.unique(rt.column("k").to_numpy(zero_copy_only=False))
         if len(rk) == 0:
             return pa.table({left_key: pa.array(lk)})
         pos = np.searchsorted(rk, lk)
         pos[pos == len(rk)] = 0
         return pa.table({left_key: pa.array(lk[rk[pos] != lk])})
 
-    return exchange(l_rows.union(r_rows), "k", scan)
+    return exchange([l_rows, r_rows], "k", scan)
 
 
 def zscore_per_key(ds: ray.data.Dataset, key: str, val_col: str,
@@ -694,9 +691,9 @@ def interval_join(points: ray.data.Dataset, intervals: ray.data.Dataset,
     i.hi`.  The operator Ray Data lacks for sessions-x-events /
     promo-window attribution work.
 
-    Scale shape (both sides large): the union co-partition pattern
+    Scale shape (both sides large): the co-partition join pattern
     (anti_join_keys) — each side becomes narrow rows keyed by the SAME
-    64-bit key column, ONE `exchange` of their union co-locates them, and
+    64-bit key column, ONE two-input `exchange` co-locates them, and
     a vectorized scan per partition resolves every point with two
     np.searchsorted calls via the BOUNDED-WIDTH trick: with W = the
     partition's max interval width, the candidate intervals for a
@@ -725,10 +722,8 @@ def interval_join(points: ray.data.Dataset, intervals: ray.data.Dataset,
         batch = batch.filter(keep)
         return pa.table({
             "k": pa.array(_seg_keys(batch.column(key))),
-            "a": pc.cast(batch.column(ts_col), pa.int64()),
-            "b": pa.array(np.zeros(batch.num_rows, np.int64)),
-            "rid": pc.cast(batch.column(pt_id_col), pa.int64()),
-            "side": pa.array(np.zeros(batch.num_rows, np.int8))})
+            "t": pc.cast(batch.column(ts_col), pa.int64()),
+            "rid": pc.cast(batch.column(pt_id_col), pa.int64())})
 
     def ivl_rows(batch: pa.Table) -> pa.Table:
         keep = pc.and_(
@@ -738,10 +733,9 @@ def interval_join(points: ray.data.Dataset, intervals: ray.data.Dataset,
         batch = batch.filter(keep)
         return pa.table({
             "k": pa.array(_seg_keys(batch.column(key))),
-            "a": pc.cast(batch.column(lo_col), pa.int64()),
-            "b": pc.cast(batch.column(hi_col), pa.int64()),
-            "rid": pc.cast(batch.column(ivl_id_col), pa.int64()),
-            "side": pa.array(np.ones(batch.num_rows, np.int8))})
+            "lo": pc.cast(batch.column(lo_col), pa.int64()),
+            "hi": pc.cast(batch.column(hi_col), pa.int64()),
+            "rid": pc.cast(batch.column(ivl_id_col), pa.int64())})
 
     p_rows = points.select_columns([key, ts_col, pt_id_col]).map_batches(
         pt_rows, batch_format="pyarrow", zero_copy_batch=True)
@@ -749,17 +743,13 @@ def interval_join(points: ray.data.Dataset, intervals: ray.data.Dataset,
         [key, lo_col, hi_col, ivl_id_col]).map_batches(
         ivl_rows, batch_format="pyarrow", zero_copy_batch=True)
 
-    def scan(group: pa.Table) -> pa.Table:
-        side = group.column("side").to_numpy(zero_copy_only=False)
-        k = group.column("k").to_numpy(zero_copy_only=False)
-        a = group.column("a").to_numpy(zero_copy_only=False)
-        b = group.column("b").to_numpy(zero_copy_only=False)
-        rid = group.column("rid").to_numpy(zero_copy_only=False)
-        isl = side == 0
-        pk, pt_, pid = k[isl], a[isl], rid[isl]
-        ik, ilo, ihi, iid = k[~isl], a[~isl], b[~isl], rid[~isl]
-        if len(pk) == 0 or len(ik) == 0:
+    def scan(pts: pa.Table, ivls: pa.Table) -> pa.Table:
+        if not (pts.num_rows and ivls.num_rows):
             return _EMPTY
+        pk, pt_, pid = (pts.column(c).to_numpy(zero_copy_only=False)
+                        for c in ("k", "t", "rid"))
+        ik, ilo, ihi, iid = (ivls.column(c).to_numpy(zero_copy_only=False)
+                             for c in ("k", "lo", "hi", "rid"))
         ok_w = ihi >= ilo  # degenerate/negative intervals never match
         ik, ilo, ihi, iid = ik[ok_w], ilo[ok_w], ihi[ok_w], iid[ok_w]
         if len(ik) == 0:
@@ -793,7 +783,7 @@ def interval_join(points: ray.data.Dataset, intervals: ray.data.Dataset,
         return pa.table({pt_id_col: pa.array(pid[rep][keep]),
                          ivl_id_col: pa.array(iid[ivl_idx][keep])})
 
-    return exchange(p_rows.union(i_rows), "k", scan)
+    return exchange([p_rows, i_rows], "k", scan)
 
 
 def sampled_quantiles(ds: ray.data.Dataset, val_col: str,
@@ -1058,8 +1048,8 @@ def skew_join_rows(left: ray.data.Dataset, right: ray.data.Dataset,
                    and broadcast once (ray.put); right rows join
                    map-side inside map_batches with NO shuffle, so a
                    hot key's rows stay spread across all input blocks.
-      cold keys -> the standard union co-partition `exchange` on
-                   the key with a vectorized expansion scan per
+      cold keys -> the standard two-input co-partition `exchange`
+                   on the key with a vectorized expansion scan per
                    partition (the order_lines kernel).
 
     Assumptions (documented per the SURVEY custom-operator rule): the
@@ -1084,31 +1074,40 @@ def skew_join_rows(left: ray.data.Dataset, right: ray.data.Dataset,
         hot_keys = detect_hot_keys(right, key_r, hot_min_rows=hot_min_rows)
     hot_keys = np.asarray(hot_keys, dtype=np.int64)
 
-    lt = left.schema()
-    rt = right.schema()
-    l_types = {n: t for n, t in zip(lt.names, lt.types)}
-    r_types = {n: t for n, t in zip(rt.names, rt.types)}
-    key_type = l_types[key_l]
-    out_schema = pa.schema(
-        [(key_l, key_type)]
-        + [(c, l_types[c]) for c in carry_l]
-        + [(c, r_types[c]) for c in carry_r])
-
-    def _valid_keys(batch: pa.Table, key: str) -> pa.Table:
+    def _valid(batch: pa.Table, key: str) -> tuple[pa.Table, np.ndarray]:
+        """The rows with a non-null `key`, and their segment keys."""
         col = batch.column(key)
         if col.null_count:
             batch = batch.filter(col.combine_chunks().is_valid())
-        return batch
+        return batch, _seg_keys(batch.column(key))
+
+    def _is_hot(u: np.ndarray) -> np.ndarray:
+        pos = np.minimum(np.searchsorted(hot_keys, u), hot_keys.size - 1)
+        return hot_keys[pos] == u
+
+    def _expand(ltab: pa.Table, lu: np.ndarray, rtab: pa.Table,
+                ru: np.ndarray) -> pa.Table:
+        """Every (left, right) row pair with lu == ru; `lu` sorted."""
+        lo = np.searchsorted(lu, ru, side="left")
+        cnt = np.searchsorted(lu, ru, side="right") - lo
+        m = cnt > 0
+        lo, cnt = lo[m], cnt[m]
+        # left indices are the ranges [lo, lo+cnt) per right row
+        l_idx = np.repeat(lo + cnt - np.cumsum(cnt), cnt) \
+            + np.arange(int(cnt.sum()))
+        r_idx = np.repeat(np.flatnonzero(m), cnt)
+        lsel = ltab.select([key_l] + carry_l).take(pa.array(l_idx))
+        rsel = rtab.select(carry_r).take(pa.array(r_idx))
+        return pa.Table.from_arrays(
+            lsel.columns + rsel.columns,
+            names=lsel.column_names + rsel.column_names)
 
     # ---- hot branch: broadcast the left rows of hot keys ----------
     hot_side = None
     if hot_keys.size:
         def left_hot(batch: pa.Table) -> pa.Table:
-            batch = _valid_keys(batch, key_l)
-            u = _seg_keys(batch.column(key_l))
-            pos = np.searchsorted(hot_keys, u)
-            pos = np.minimum(pos, hot_keys.size - 1)
-            return batch.filter(pa.array(hot_keys[pos] == u))
+            batch, u = _valid(batch, key_l)
+            return batch.filter(pa.array(_is_hot(u)))
 
         lhot = collect(left.map_batches(
             left_hot, batch_format="pyarrow", zero_copy_batch=True))
@@ -1116,106 +1115,39 @@ def skew_join_rows(left: ray.data.Dataset, right: ray.data.Dataset,
             lhot = lhot.combine_chunks()
             lu = _seg_keys(lhot.column(key_l))
             lorder = np.argsort(lu, kind="stable")
-            lhot = lhot.take(pa.array(lorder))
             hot_side = ray.put((np.ascontiguousarray(lu[lorder]),
-                                lhot.select([key_l] + carry_l)))
+                                lhot.select([key_l] + carry_l)
+                                .take(pa.array(lorder))))
 
     def right_hot_join(batch: pa.Table, *, side_ref) -> pa.Table:
         lkeys, ltab = ray.get(side_ref) if not isinstance(
             side_ref, tuple) else side_ref
-        batch = _valid_keys(batch, key_r)
-        u = _seg_keys(batch.column(key_r))
-        lo = np.searchsorted(lkeys, u, side="left")
-        hi = np.searchsorted(lkeys, u, side="right")
-        cnt = hi - lo
-        m = cnt > 0
-        if not m.any():
-            return out_schema.empty_table()
-        lo, cnt = lo[m], cnt[m]
-        # expansion: left indices are ranges [lo, lo+cnt) per right row
-        l_idx = np.repeat(lo + cnt - np.cumsum(cnt), cnt) \
-            + np.arange(int(cnt.sum()))
-        r_idx = np.repeat(np.flatnonzero(m), cnt)
-        lsel = ltab.take(pa.array(l_idx))
-        rsel = batch.select(carry_r).take(pa.array(r_idx))
-        cols = {key_l: lsel.column(key_l)}
-        for c in carry_l:
-            cols[c] = lsel.column(c)
-        for c in carry_r:
-            cols[c] = rsel.column(c)
-        return pa.table(cols).cast(out_schema)
+        return _expand(ltab, lkeys, *_valid(batch, key_r))
 
-    # ---- cold branch: union co-partition expansion join ------------
-    def left_rows(batch: pa.Table) -> pa.Table:
-        batch = _valid_keys(batch, key_l)
-        u = _seg_keys(batch.column(key_l))
+    # ---- cold branch: co-partition expansion join ------------------
+    def cold_rows(batch: pa.Table, *, key: str, cols: list) -> pa.Table:
+        batch, u = _valid(batch, key)
         if hot_keys.size:
-            pos = np.minimum(np.searchsorted(hot_keys, u),
-                             hot_keys.size - 1)
-            cold = hot_keys[pos] != u
+            cold = ~_is_hot(u)
             batch, u = batch.filter(pa.array(cold)), u[cold]
-        cols = {"_u": pa.array(u),
-                "_side": pa.array(np.zeros(len(u), np.int8)),
-                key_l: batch.column(key_l)}
-        for c in carry_l:
-            cols[c] = batch.column(c)
-        for c in carry_r:
-            cols[c] = pa.nulls(len(u), r_types[c])
-        return pa.table(cols)
+        return batch.select(cols).append_column("_u", pa.array(u))
 
-    def right_rows(batch: pa.Table) -> pa.Table:
-        batch = _valid_keys(batch, key_r)
-        u = _seg_keys(batch.column(key_r))
-        if hot_keys.size:
-            pos = np.minimum(np.searchsorted(hot_keys, u),
-                             hot_keys.size - 1)
-            cold = hot_keys[pos] != u
-            batch, u = batch.filter(pa.array(cold)), u[cold]
-        cols = {"_u": pa.array(u),
-                "_side": pa.array(np.ones(len(u), np.int8)),
-                key_l: pa.nulls(len(u), key_type)}
-        for c in carry_l:
-            cols[c] = pa.nulls(len(u), l_types[c])
-        for c in carry_r:
-            cols[c] = batch.column(c)
-        return pa.table(cols)
-
-    def join_scan(group: pa.Table) -> pa.Table:
-        side = group.column("_side").to_numpy(zero_copy_only=False)
-        u = group.column("_u").to_numpy(zero_copy_only=False)
-        lmask = side == 0
-        ltab = group.filter(pa.array(lmask))
-        lu = u[lmask]
-        if ltab.num_rows == 0:
-            return out_schema.empty_table()
+    def join_scan(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        if not (lt.num_columns and rt.num_columns):
+            return pa.table({})       # a side with no rows and no schema
+        lu = lt.column("_u").to_numpy(zero_copy_only=False)
         lorder = np.argsort(lu, kind="stable")
-        ltab, lu = ltab.take(pa.array(lorder)), lu[lorder]
-        ru = u[~lmask]
-        rtab = group.filter(pa.array(~lmask))
-        lo = np.searchsorted(lu, ru, side="left")
-        hi = np.searchsorted(lu, ru, side="right")
-        cnt = hi - lo
-        m = cnt > 0
-        if not m.any():
-            return out_schema.empty_table()
-        lo, cnt = lo[m], cnt[m]
-        l_idx = np.repeat(lo + cnt - np.cumsum(cnt), cnt) \
-            + np.arange(int(cnt.sum()))
-        r_idx = np.repeat(np.flatnonzero(m), cnt)
-        lsel = ltab.take(pa.array(l_idx))
-        rsel = rtab.take(pa.array(r_idx))
-        cols = {key_l: lsel.column(key_l)}
-        for c in carry_l:
-            cols[c] = lsel.column(c)
-        for c in carry_r:
-            cols[c] = rsel.column(c)
-        return pa.table(cols).cast(out_schema)
+        return _expand(lt.take(pa.array(lorder)), lu[lorder], rt,
+                       rt.column("_u").to_numpy(zero_copy_only=False))
 
-    lcold = left.map_batches(left_rows, batch_format="pyarrow",
-                             zero_copy_batch=True)
-    rcold = right.map_batches(right_rows, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    cold = exchange(lcold.union(rcold), "_u", join_scan)
+    lcold = left.map_batches(cold_rows, batch_format="pyarrow",
+                             zero_copy_batch=True,
+                             fn_kwargs={"key": key_l,
+                                        "cols": [key_l] + carry_l})
+    rcold = right.map_batches(cold_rows, batch_format="pyarrow",
+                              zero_copy_batch=True,
+                              fn_kwargs={"key": key_r, "cols": carry_r})
+    cold = exchange([lcold, rcold], "_u", join_scan)
     if hot_side is None:
         return cold
     hot = right.map_batches(right_hot_join, batch_format="pyarrow",
@@ -1513,56 +1445,34 @@ def semi_join(left: ray.data.Dataset, right: ray.data.Dataset,
     skew all exist; this is the membership-keep dual of
     anti_join_keys).
 
-    Scale shape (both sides large): union co-partition — ONE
-    `exchange` on the int64 key; the right side collapses to
-    unique keys per block BEFORE the exchange (a membership probe
-    needs each key once), left rows ride with their carry columns, and
-    a vectorized searchsorted scan per partition keeps the hits.
-    NULL left keys never match (SQL EXISTS semantics)."""
-    lt = left.schema()
-    l_types = {n: t for n, t in zip(lt.names, lt.types)}
-    out_schema = pa.schema([(left_key, l_types[left_key])]
-                           + [(c, l_types[c]) for c in carry_l])
+    Scale shape (both sides large): co-partition — ONE two-input
+    `exchange` on the int64 key; the right side collapses to unique
+    keys per block BEFORE the exchange (a membership probe needs each
+    key once), left rows ride with their carry columns, and one
+    vectorized membership test per partition keeps the hits.  NULL
+    left keys never match (SQL EXISTS semantics)."""
 
     def l_rows(batch: pa.Table) -> pa.Table:
-        col = batch.column(left_key).combine_chunks()
+        col = batch.column(left_key)
         if col.null_count:
-            batch = batch.filter(col.is_valid())
-            col = batch.column(left_key).combine_chunks()
-        k = pc.cast(col, pa.int64()).to_numpy(zero_copy_only=False)
-        cols = {"_k": pa.array(k),
-                "_side": pa.array(np.zeros(len(k), np.int8)),
-                left_key: batch.column(left_key)}
-        for c in carry_l:
-            cols[c] = batch.column(c)
-        return pa.table(cols)
+            batch = batch.filter(col.combine_chunks().is_valid())
+        return batch.append_column(
+            "_k", pc.cast(batch.column(left_key), pa.int64()))
 
     def r_rows(batch: pa.Table) -> pa.Table:
-        col = batch.column(right_key).combine_chunks()
-        k = np.unique(pc.cast(col, pa.int64()).drop_null().to_numpy(
-            zero_copy_only=False))
-        cols = {"_k": pa.array(k),
-                "_side": pa.array(np.ones(len(k), np.int8)),
-                left_key: pa.nulls(len(k), l_types[left_key])}
-        for c in carry_l:
-            cols[c] = pa.nulls(len(k), l_types[c])
-        return pa.table(cols)
+        k = pc.cast(batch.column(right_key), pa.int64()).drop_null()
+        return pa.table({"_k": pa.array(np.unique(
+            k.to_numpy(zero_copy_only=False)))})
 
-    def scan(group: pa.Table) -> pa.Table:
-        side = group.column("_side").to_numpy(zero_copy_only=False)
-        k = group.column("_k").to_numpy(zero_copy_only=False)
-        lmask = side == 0
-        lk = k[lmask]
-        rk = np.unique(k[~lmask])
-        if len(lk) == 0 or len(rk) == 0:
-            return out_schema.empty_table()
-        pos = np.minimum(np.searchsorted(rk, lk), len(rk) - 1)
-        hit = rk[pos] == lk
-        return (group.filter(pa.array(lmask)).filter(pa.array(hit))
-                .select([left_key] + carry_l).cast(out_schema))
+    def scan(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        if not (lt.num_columns and rt.num_columns):
+            return pa.table({})       # a side with no rows and no schema
+        hit = np.isin(lt.column("_k").to_numpy(zero_copy_only=False),
+                      rt.column("_k").to_numpy(zero_copy_only=False))
+        return lt.filter(pa.array(hit)).select([left_key] + carry_l)
 
     lr = left.select_columns([left_key] + carry_l).map_batches(
         l_rows, batch_format="pyarrow", zero_copy_batch=True)
     rr = right.select_columns([right_key]).map_batches(
         r_rows, batch_format="pyarrow", zero_copy_batch=True)
-    return exchange(lr.union(rr), "_k", scan)
+    return exchange([lr, rr], "_k", scan)

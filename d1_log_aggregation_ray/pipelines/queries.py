@@ -156,10 +156,15 @@ def _flag_counts(ds: ray.data.Dataset, by: str, extra: list[str]):
     t = collect(ds.map_batches(partial, batch_format="pyarrow",
                                zero_copy_batch=True))
     if t.num_columns:
-        t = t.group_by(by).aggregate(
-            [(n, "sum") for n in ["n_rows"] + out_names])
-        t = t.rename_columns([c.removesuffix("_sum") for c in t.column_names])
+        t = _group_sum(t, by, ["n_rows"] + out_names)
     return ray.data.from_arrow(t)
+
+
+def _group_sum(t: pa.Table, keys, cols: list[str]) -> pa.Table:
+    """`cols` of `t` summed per `keys` value in one Arrow group_by,
+    each sum keeping its column's name."""
+    g = t.group_by(keys).aggregate([(c, "sum") for c in cols])
+    return g.rename_columns([c.removesuffix("_sum") for c in g.column_names])
 
 
 def q_route_counts(sf_dir: str):
@@ -198,13 +203,15 @@ def q_watermark(sf_dir: str):
 
 
 def q_watermark_salted(sf_dir: str):
-    """A1 watermark via SALTED groupby (skew-splitting for hot
+    """A1 watermark via a per-batch pre-aggregated groupby (hot
     conv_ids, S3 analog): same result as q_watermark, but a mega conv
-    contributes n_salt partial rows to the exchange instead of all its
-    rows — the general-path answer when inputs are NOT pre-bucketed."""
-    from ..stages.aggregate import salted_count_max
+    contributes one partial row per input block to the exchange
+    instead of all its rows — the general-path answer when inputs are
+    NOT pre-bucketed.  (The name predates the removal of a salt that
+    never reached the partition key.)"""
+    from ..stages.aggregate import count_max
     ds = _clean(sf_dir).select_columns(["conv_id", "ts"])
-    return salted_count_max(ds, "conv_id", "ts").select_columns(
+    return count_max(ds, "conv_id", "ts").select_columns(
         ["conv_id", "n_turns", "max_ts"])
 
 
@@ -1078,24 +1085,24 @@ _TOPORD_SEG, _TOPORD_CUT = "BUILDING", "1998-01-01"
 def q_top_orders(sf_dir: str):
     """Large x large relational pipeline (TPC-H Q3 analog): customer
     segment broadcast semi-join -> lineitem combiner pre-aggregation ->
-    union co-partition hash join (both sides keyed by o_orderkey in
-    the same column, ONE `exchange` of their union co-locates them,
-    a vectorized searchsorted scan joins AND finishes the revenue
-    aggregate in the same pass) -> driver merge of per-partition
-    top-10 partials.  Replaces Ray's native JoinOperator, which cost
-    a 16-actor pool + a SECOND exchange for the post-join aggregate
-    and showed 4-30 s run-to-run variance on this box; the union join
-    is one exchange, deterministic, and the per-key completeness of a
-    partition makes the scan's group sums final (no re-merge).
-    Revenue is integer-exact (cents x discount-complement-percent) so
-    the value hash matches DuckDB regardless of sum order."""
-    cut = np.datetime64(_TOPORD_CUT)
+    co-partition hash join (both sides keyed by o_orderkey in the same
+    column, ONE two-input `exchange` co-locates them, and each
+    partition's Arrow group_by + join finishes the revenue aggregate
+    in the same pass) -> global top-10 through `top_n`.  Replaces
+    Ray's native JoinOperator, which cost a 16-actor pool + a SECOND
+    exchange for the post-join aggregate and showed 4-30 s run-to-run
+    variance on this box; the co-partition join is one exchange,
+    deterministic, and the per-key completeness of a partition makes
+    the scan's group sums final (no re-merge).  Revenue is
+    integer-exact (cents x discount-complement-percent) so the value
+    hash matches DuckDB regardless of sum order."""
+    cut = np.datetime64(_TOPORD_CUT).astype("datetime64[us]").astype(
+        np.int64)
     ct = pq.read_table(os.path.join(sf_dir, "customer.parquet"),
                        columns=["c_custkey", "c_mktsegment"])
     keep = ct.filter(pc.equal(ct.column("c_mktsegment"), _TOPORD_SEG))
     cust_ref = ray.put(np.sort(
         keep.column("c_custkey").to_numpy(zero_copy_only=False)))
-
 
     def filter_orders(batch: pa.Table, *, cust) -> pa.Table:
         ck = ray.get(cust) if isinstance(cust, ray.ObjectRef) else cust
@@ -1104,15 +1111,9 @@ def q_top_orders(sf_dir: str):
         pos = np.searchsorted(ck, keys)
         pos[pos == len(ck)] = 0
         hit = (ck[pos] == keys) & (
-            od.cast(pa.int64()).to_numpy(zero_copy_only=False)
-            < cut.astype("datetime64[us]").astype(np.int64))
-        ok = batch.column("o_orderkey").to_numpy(zero_copy_only=False)[hit]
-        dt = od.cast(pa.int64()).to_numpy(zero_copy_only=False)[hit]
-        return pa.table({
-            "k": pa.array(ok),
-            "d": pa.array(dt),
-            "rev": pa.array(np.zeros(len(ok), np.int64)),
-            "side": pa.array(np.zeros(len(ok), np.int8))})
+            od.cast(pa.int64()).to_numpy(zero_copy_only=False) < cut)
+        return batch.select(["o_orderkey", "o_orderdate"]).filter(
+            pa.array(hit))
 
     orders = ray.data.read_parquet(
         os.path.join(sf_dir, "orders.parquet"),
@@ -1123,7 +1124,7 @@ def q_top_orders(sf_dir: str):
     def lineitem_partial(batch: pa.Table) -> pa.Table:
         sd = batch.column("l_shipdate").combine_chunks().cast(
             pa.int64()).to_numpy(zero_copy_only=False)
-        m = sd > cut.astype("datetime64[us]").astype(np.int64)
+        m = sd > cut
         keys = batch.column("l_orderkey").to_numpy(
             zero_copy_only=False)[m]
         ep = batch.column("l_extendedprice").to_numpy(
@@ -1131,17 +1132,8 @@ def q_top_orders(sf_dir: str):
         dc = batch.column("l_discount").to_numpy(zero_copy_only=False)[m]
         rev = (np.rint(ep * 100).astype(np.int64)
                * (100 - np.rint(dc * 100).astype(np.int64)))
-        order = np.argsort(keys, kind="stable")
-        k_s, r_s = keys[order], rev[order]
-        starts = np.flatnonzero(np.r_[True, k_s[1:] != k_s[:-1]])
-        ku = k_s[starts]
-        rv = (np.add.reduceat(r_s, starts) if len(starts)
-              else np.array([], dtype=np.int64))
-        return pa.table({
-            "k": pa.array(ku),
-            "d": pa.array(np.zeros(len(ku), np.int64)),
-            "rev": pa.array(rv),
-            "side": pa.array(np.ones(len(ku), np.int8))})
+        return _group_sum(pa.table({"o_orderkey": keys, "revenue_c2": rev}),
+                          "o_orderkey", ["revenue_c2"])
 
     items = ray.data.read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
@@ -1149,41 +1141,16 @@ def q_top_orders(sf_dir: str):
                  "l_shipdate"]).map_batches(
         lineitem_partial, batch_format="pyarrow", zero_copy_batch=True)
 
-    _EMPTY_Q3 = pa.table({
-        "o_orderkey": pa.array([], pa.int64()),
-        "o_orderdate": pa.array([], pa.timestamp("us")),
-        "revenue_c2": pa.array([], pa.int64())})
+    def join_scan(orders: pa.Table, items: pa.Table) -> pa.Table:
+        return orders.join(_group_sum(items, "o_orderkey", ["revenue_c2"]),
+                           "o_orderkey", join_type="inner")
 
-    def join_scan(group: pa.Table) -> pa.Table:
-        side = group.column("side").to_numpy(zero_copy_only=False)
-        k = group.column("k").to_numpy(zero_copy_only=False)
-        om = side == 0
-        ok, od = k[om], group.column("d").to_numpy(
-            zero_copy_only=False)[om]
-        ik = k[~om]
-        ir = group.column("rev").to_numpy(zero_copy_only=False)[~om]
-        if len(ok) == 0 or len(ik) == 0:
-            return _EMPTY_Q3
-        oo = np.argsort(ok)                   # orderkey is a PK: unique
-        ok, od = ok[oo], od[oo]
-        io = np.argsort(ik, kind="stable")    # item partials per key
-        ik, ir = ik[io], ir[io]
-        starts = np.flatnonzero(np.r_[True, ik[1:] != ik[:-1]])
-        ku = ik[starts]
-        rv = np.add.reduceat(ir, starts)
-        pos = np.searchsorted(ok, ku)
-        pos[pos == len(ok)] = 0
-        hit = ok[pos] == ku                   # inner-join match
-        return pa.table({
-            "o_orderkey": pa.array(ku[hit]),
-            "o_orderdate": pa.array(od[pos[hit]]).cast(
-                pa.timestamp("us")),
-            "revenue_c2": pa.array(rv[hit])})
-
-    per_order = exchange(orders.union(items), "k", join_scan)
+    per_order = exchange([orders, items], "o_orderkey", join_scan)
     return top_n(per_order, 10, [("revenue_c2", "descending"),
                                  ("o_orderkey", "ascending")],
-                 schema=_EMPTY_Q3.schema)
+                 schema=pa.schema([("o_orderkey", pa.int64()),
+                                   ("o_orderdate", pa.timestamp("us")),
+                                   ("revenue_c2", pa.int64())]))
 
 
 def q_snapshot_merge(sf_dir: str):
@@ -1235,78 +1202,37 @@ def q_big_orders(sf_dir: str):
     """Large x large THREE-table pipeline (TPC-H Q18 analog): orders
     whose total lineitem quantity exceeds the threshold, with their
     customer's segment attached.  Plan: lineitem per-batch qty
-    combiners + orders rows meet in ONE union co-partition exchange
-    on hash(o_orderkey) (the top_orders machinery); the HAVING cut
-    runs inside the join scan, so what leaves stage 1 is only the
-    qualifying (orderkey, custkey, sum_qty) rows — bounded by the
-    threshold by construction — which broadcast against a customer
-    scan for the attribute attach (no third shuffle).  sum_qty is
-    integer-exact (quantities are integral; rint-cast before the
-    sum), so the value hash matches DuckDB regardless of order."""
-
-    def ord_rows(batch: pa.Table) -> pa.Table:
-        ok = batch.column("o_orderkey").to_numpy(zero_copy_only=False)
-        ck = batch.column("o_custkey").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "k": pa.array(ok), "v": pa.array(ck),
-            "side": pa.array(np.zeros(len(ok), np.int8))})
-
+    combiners + orders rows meet in ONE two-input co-partition
+    exchange on hash(o_orderkey) (the top_orders machinery); the
+    HAVING cut runs inside the join scan, so what leaves stage 1 is
+    only the qualifying (orderkey, custkey, sum_qty) rows — bounded
+    by the threshold by construction — which broadcast against a
+    customer scan for the attribute attach (no third shuffle).
+    sum_qty is integer-exact (quantities are integral; rint-cast
+    before the sum), so the value hash matches DuckDB regardless of
+    order."""
     orders = ray.data.read_parquet(
         os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_custkey"]).map_batches(
-        ord_rows, batch_format="pyarrow", zero_copy_batch=True)
+        columns=["o_orderkey", "o_custkey"])
 
     def li_partial(batch: pa.Table) -> pa.Table:
-        keys = batch.column("l_orderkey").to_numpy(zero_copy_only=False)
         qty = np.rint(batch.column("l_quantity").to_numpy(
             zero_copy_only=False)).astype(np.int64)
-        order = np.argsort(keys, kind="stable")
-        k_s, q_s = keys[order], qty[order]
-        starts = np.flatnonzero(np.r_[True, k_s[1:] != k_s[:-1]])
-        ku = k_s[starts]
-        qv = (np.add.reduceat(q_s, starts) if len(starts)
-              else np.array([], dtype=np.int64))
-        return pa.table({
-            "k": pa.array(ku), "v": pa.array(qv),
-            "side": pa.array(np.ones(len(ku), np.int8))})
+        return _group_sum(pa.table({"o_orderkey": batch.column("l_orderkey"),
+                                    "sum_qty": qty}),
+                          "o_orderkey", ["sum_qty"])
 
     items = ray.data.read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_orderkey", "l_quantity"]).map_batches(
         li_partial, batch_format="pyarrow", zero_copy_batch=True)
 
-    _EMPTY_Q18 = pa.table({
-        "o_orderkey": pa.array([], pa.int64()),
-        "o_custkey": pa.array([], pa.int64()),
-        "sum_qty": pa.array([], pa.int64())})
+    def join_scan(orders: pa.Table, items: pa.Table) -> pa.Table:
+        per = _group_sum(items, "o_orderkey", ["sum_qty"])
+        big = per.filter(pc.greater(per.column("sum_qty"), _BIGORD_T))
+        return big.join(orders, "o_orderkey", join_type="inner")
 
-    def join_scan(group: pa.Table) -> pa.Table:
-        side = group.column("side").to_numpy(zero_copy_only=False)
-        k = group.column("k").to_numpy(zero_copy_only=False)
-        v = group.column("v").to_numpy(zero_copy_only=False)
-        om = side == 0
-        ok, oc = k[om], v[om]
-        ik, iq = k[~om], v[~om]
-        if len(ok) == 0 or len(ik) == 0:
-            return _EMPTY_Q18
-        oo = np.argsort(ok)              # orderkey is a PK
-        ok, oc = ok[oo], oc[oo]
-        io = np.argsort(ik, kind="stable")
-        ik, iq = ik[io], iq[io]
-        starts = np.flatnonzero(np.r_[True, ik[1:] != ik[:-1]])
-        ku = ik[starts]
-        qv = np.add.reduceat(iq, starts)
-        big = qv > _BIGORD_T             # HAVING inside the scan
-        ku, qv = ku[big], qv[big]
-        pos = np.searchsorted(ok, ku)
-        pos[pos == len(ok)] = 0
-        hit = ok[pos] == ku
-        return pa.table({
-            "o_orderkey": pa.array(ku[hit]),
-            "o_custkey": pa.array(oc[pos[hit]]),
-            "sum_qty": pa.array(qv[hit])})
-
-    surv = exchange(orders.union(items), "k", join_scan).take_all()
+    surv = exchange([orders, items], "o_orderkey", join_scan).take_all()
     # bounded by the HAVING threshold by construction -> broadcast
     surv.sort(key=lambda r: (r["o_custkey"], r["o_orderkey"]))
     s_ck = np.array([r["o_custkey"] for r in surv], dtype=np.int64)
@@ -1447,9 +1373,10 @@ def q_regional_revenue(sf_dir: str):
     top_orders dimension-broadcast pattern; at extreme SF the customer
     side would swap to a custkey co-partition exchange).  Orders
     (date-filtered, custkey-probed) and per-(orderkey, suppnation)
-    lineitem revenue combiners meet in ONE union co-partition exchange
-    on hash(o_orderkey); the scan joins, applies the c_nat == s_nat
-    equality, and collapses to per-nation partials IN the same pass,
+    lineitem revenue combiners meet in ONE two-input co-partition
+    exchange on hash(o_orderkey); the scan joins on (orderkey, nation),
+    which applies the c_nat == s_nat equality, and collapses to
+    per-nation partials IN the same pass,
     so only (nationkey, revenue) rows — bounded by nation cardinality —
     leave stage one.  Revenue is integer cents x pct, hash-exact."""
     nat = pq.read_table(os.path.join(sf_dir, "nation.parquet"))
@@ -1492,11 +1419,7 @@ def q_regional_revenue(sf_dir: str):
         ok = batch.column("o_orderkey").to_numpy(zero_copy_only=False)[m]
         ck = batch.column("o_custkey").to_numpy(zero_copy_only=False)[m]
         hit, cn = _probe(cust, ck)
-        ok, cn = ok[hit], cn[hit]
-        return pa.table({
-            "k": pa.array(ok), "nat": pa.array(cn),
-            "rev": pa.array(np.zeros(len(ok), np.int64)),
-            "side": pa.array(np.zeros(len(ok), np.int8))})
+        return pa.table({"k": ok[hit], "n_nationkey": cn[hit]})
 
     orders = ray.data.read_parquet(
         os.path.join(sf_dir, "orders.parquet"),
@@ -1511,20 +1434,11 @@ def q_regional_revenue(sf_dir: str):
         ep = batch.column("l_extendedprice").to_numpy(
             zero_copy_only=False)[hit]
         dc = batch.column("l_discount").to_numpy(zero_copy_only=False)[hit]
-        keys, sn = keys[hit], sn[hit]
         rev = (np.rint(ep * 100).astype(np.int64)
                * (100 - np.rint(dc * 100).astype(np.int64)))
-        order = np.lexsort((sn, keys))
-        k_s, n_s, r_s = keys[order], sn[order], rev[order]
-        starts = np.flatnonzero(np.r_[True, (k_s[1:] != k_s[:-1])
-                                      | (n_s[1:] != n_s[:-1])])
-        rv = (np.add.reduceat(r_s, starts) if len(starts)
-              else np.array([], dtype=np.int64))
-        ku, nu = k_s[starts], n_s[starts]
-        return pa.table({
-            "k": pa.array(ku), "nat": pa.array(nu),
-            "rev": pa.array(rv),
-            "side": pa.array(np.ones(len(ku), np.int8))})
+        return _group_sum(pa.table({"k": keys[hit], "n_nationkey": sn[hit],
+                                    "revenue_c2": rev}),
+                          ["k", "n_nationkey"], ["revenue_c2"])
 
     items = ray.data.read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
@@ -1533,44 +1447,22 @@ def q_regional_revenue(sf_dir: str):
         li_partial, batch_format="pyarrow", zero_copy_batch=True,
         fn_kwargs={"sup": sup_ref})
 
-    _EMPTY_Q5 = pa.table({"n_nationkey": pa.array([], pa.int64()),
-                          "revenue_c2": pa.array([], pa.int64())})
-
-    def join_scan(group: pa.Table) -> pa.Table:
-        side = group.column("side").to_numpy(zero_copy_only=False)
-        k = group.column("k").to_numpy(zero_copy_only=False)
-        nt_ = group.column("nat").to_numpy(zero_copy_only=False)
-        om = side == 0
-        ok, on = k[om], nt_[om]
-        ik, inat = k[~om], nt_[~om]
-        ir = group.column("rev").to_numpy(zero_copy_only=False)[~om]
-        if len(ok) == 0 or len(ik) == 0:
-            return _EMPTY_Q5
-        oo = np.argsort(ok)                 # orderkey is a PK: unique
-        ok, on = ok[oo], on[oo]
-        pos = np.searchsorted(ok, ik)
-        pos[pos == len(ok)] = 0
-        hit = (ok[pos] == ik) & (on[pos] == inat)
-        nat_h, rev_h = inat[hit], ir[hit]
-        acc = np.zeros(int(nat_keys.max()) + 1, np.int64)
-        np.add.at(acc, nat_h, rev_h)
-        nz = np.flatnonzero(acc)
-        return pa.table({"n_nationkey": pa.array(nz.astype(np.int64)),
-                         "revenue_c2": pa.array(acc[nz])})
+    def join_scan(orders: pa.Table, items: pa.Table) -> pa.Table:
+        hits = items.join(orders, ["k", "n_nationkey"], join_type="inner")
+        return _group_sum(hits, "n_nationkey", ["revenue_c2"])
 
     # the scan already collapsed each partition to <= |region nations|
     # rows, so the final merge is over a nation-bounded set at ANY
     # corpus size — a driver-side sum, not a second exchange
-    merged = collect(exchange(orders.union(items), "k", join_scan))
+    merged = collect(exchange([orders, items], "k", join_scan))
     if not merged.num_rows:
         return pa.table({"n_name": pa.array([], pa.string()),
                          "revenue_c2": pa.array([], pa.int64())})
-    merged = merged.group_by(["n_nationkey"]).aggregate(
-        [("revenue_c2", "sum")])
+    merged = _group_sum(merged, "n_nationkey", ["revenue_c2"])
     nk = merged.column("n_nationkey").to_numpy(zero_copy_only=False)
     return pa.table({
         "n_name": pa.array([nat_names[int(x)] for x in nk], pa.string()),
-        "revenue_c2": merged.column("revenue_c2_sum")})
+        "revenue_c2": merged.column("revenue_c2")})
 
 
 #: lapsed-customer cutoff for the anti-join query
@@ -1579,9 +1471,10 @@ _LAPSED_CUT = "1999-01-01"
 
 def q_cust_no_orders(sf_dir: str):
     """Distributed ANTI join (large x large): lapsed customers — no
-    order since the cutoff.  Union co-partition + per-partition
-    searchsorted misses, right side filtered at the read and deduped
-    per block before the exchange (ops/relational.anti_join_keys)."""
+    order since the cutoff.  Two-input co-partition exchange +
+    per-partition searchsorted misses, right side filtered at the read
+    and deduped per block before the exchange
+    (ops/relational.anti_join_keys)."""
     from ..ops.relational import anti_join_keys
     cut = np.datetime64(_LAPSED_CUT).astype(
         "datetime64[us]").astype(np.int64)
@@ -2232,12 +2125,12 @@ def q_order_fill(sf_dir: str):
     quantity shipped on/after the window start — NULL when the order
     has no qualifying lineitems, proving outer semantics end-to-end.
 
-    Shape: the top_orders union co-partition join — both sides keyed
-    by orderkey in the same column, lineitem pre-aggregated
-    per batch (combiner) before the ONE exchange, and the per-
-    partition scan finishes the sum AND the outer fill in the same
-    searchsorted pass.  Quantities are integral doubles in TPC-H, so
-    CAST to int64 keeps the value hash exact."""
+    Shape: the top_orders co-partition join — both sides keyed by
+    orderkey in the same column, lineitem pre-aggregated per batch
+    (combiner) before the ONE two-input exchange, and the per-
+    partition scan finishes the sum AND the outer fill with one Arrow
+    group_by and one left-outer join.  Quantities are integral doubles
+    in TPC-H, so CAST to int64 keeps the value hash exact."""
     return _order_join(sf_dir, outer=False)
 
 
@@ -2246,33 +2139,33 @@ def q_order_fill_outer(sf_dir: str):
     (inner / anti / left / full): additionally emits one row per
     orderkey that shipped lineitems on/after the window start but has
     NO order row in the window (order columns NULL) — both unmatched
-    sides preserved.  Same single co-partition exchange; the unmatched-
-    right scan is one extra searchsorted over the already-sorted
-    per-partition keys (keys are hash-partitioned, so each side's
-    unmatched set is exact within its partition)."""
+    sides preserved.  Same single co-partition exchange; the scan's
+    join is full outer instead of left outer (keys are
+    hash-partitioned, so each side's unmatched set is exact within its
+    partition)."""
     return _order_join(sf_dir, outer=True)
+
+
+def _window_orders(sf_dir: str) -> ray.data.Dataset:
+    """(o_orderkey, o_orderpriority) of the orders placed in the
+    order_fill window."""
+    lo = np.datetime64(_FILL_LO).astype("datetime64[us]").astype(np.int64)
+    hi = np.datetime64(_FILL_HI).astype("datetime64[us]").astype(np.int64)
+
+    def in_window(batch: pa.Table) -> pa.Table:
+        od = batch.column("o_orderdate").combine_chunks().cast(
+            pa.int64()).to_numpy(zero_copy_only=False)
+        return batch.select(["o_orderkey", "o_orderpriority"]).filter(
+            pa.array((od >= lo) & (od < hi)))
+
+    return ray.data.read_parquet(
+        os.path.join(sf_dir, "orders.parquet"),
+        columns=["o_orderkey", "o_orderdate", "o_orderpriority"]).map_batches(
+        in_window, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def _order_join(sf_dir: str, outer: bool):
     lo = np.datetime64(_FILL_LO).astype("datetime64[us]").astype(np.int64)
-    hi = np.datetime64(_FILL_HI).astype("datetime64[us]").astype(np.int64)
-
-    def order_side(batch: pa.Table) -> pa.Table:
-        od = batch.column("o_orderdate").combine_chunks().cast(
-            pa.int64()).to_numpy(zero_copy_only=False)
-        m = (od >= lo) & (od < hi)
-        ok = batch.column("o_orderkey").to_numpy(zero_copy_only=False)[m]
-        return pa.table({
-            "k": pa.array(ok),
-            "prio": batch.column("o_orderpriority").combine_chunks().filter(
-                pa.array(m)),
-            "qty": pa.array(np.zeros(len(ok), np.int64)),
-            "side": pa.array(np.zeros(len(ok), np.int8))})
-
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_orderdate", "o_orderpriority"]).map_batches(
-        order_side, batch_format="pyarrow", zero_copy_batch=True)
 
     def item_side(batch: pa.Table) -> pa.Table:
         sd = batch.column("l_shipdate").combine_chunks().cast(
@@ -2281,67 +2174,20 @@ def _order_join(sf_dir: str, outer: bool):
         keys = batch.column("l_orderkey").to_numpy(zero_copy_only=False)[m]
         qty = batch.column("l_quantity").to_numpy(
             zero_copy_only=False)[m].astype(np.int64)
-        order = np.argsort(keys, kind="stable")
-        k_s, q_s = keys[order], qty[order]
-        starts = np.flatnonzero(np.r_[True, k_s[1:] != k_s[:-1]])
-        ku = k_s[starts]
-        qv = (np.add.reduceat(q_s, starts) if len(starts)
-              else np.array([], dtype=np.int64))
-        return pa.table({
-            "k": pa.array(ku),
-            "prio": pa.array([None] * len(ku), pa.string()),
-            "qty": pa.array(qv),
-            "side": pa.array(np.ones(len(ku), np.int8))})
+        return _group_sum(pa.table({"o_orderkey": keys, "shipped_qty": qty}),
+                          "o_orderkey", ["shipped_qty"])
 
     items = ray.data.read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_orderkey", "l_quantity", "l_shipdate"]).map_batches(
         item_side, batch_format="pyarrow", zero_copy_batch=True)
 
-    _EMPTY_FILL = pa.schema([
-        ("o_orderkey", pa.int64()), ("o_orderpriority", pa.string()),
-        ("shipped_qty", pa.int64())])
+    def join_scan(orders: pa.Table, items: pa.Table) -> pa.Table:
+        return orders.join(
+            _group_sum(items, "o_orderkey", ["shipped_qty"]), "o_orderkey",
+            join_type="full outer" if outer else "left outer")
 
-    def join_scan(group: pa.Table) -> pa.Table:
-        side = group.column("side").to_numpy(zero_copy_only=False)
-        left = group.filter(pa.array(side == 0))
-        if left.num_rows == 0 and not outer:
-            return _EMPTY_FILL.empty_table()
-        rk = group.column("k").to_numpy(zero_copy_only=False)[side == 1]
-        rq = group.column("qty").to_numpy(zero_copy_only=False)[side == 1]
-        ro = np.argsort(rk, kind="stable")
-        rk, rq = rk[ro], rq[ro]
-        starts = np.flatnonzero(np.r_[True, rk[1:] != rk[:-1]]) \
-            if len(rk) else np.array([], np.int64)
-        ku = rk[starts] if len(rk) else rk
-        qsum = (np.add.reduceat(rq, starts) if len(starts)
-                else np.array([], dtype=np.int64))
-        lk = left.column("k").to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(ku, lk)
-        pos_c = np.minimum(pos, max(len(ku) - 1, 0))
-        hit = (len(ku) > 0) & (ku[pos_c] == lk) if len(ku) else \
-            np.zeros(len(lk), bool)
-        out_q = np.where(hit, qsum[pos_c] if len(ku) else 0, 0)
-        out = pa.table({
-            "o_orderkey": pa.array(lk),
-            "o_orderpriority": left.column("prio"),
-            "shipped_qty": pa.array(out_q, type=pa.int64(), mask=~hit)})
-        if not outer or len(ku) == 0:
-            return out
-        # unmatched RIGHT keys: shipped orderkeys with no order row in
-        # the window (order columns NULL) — full-outer completion
-        lks = np.sort(lk)
-        rpos = np.minimum(np.searchsorted(lks, ku), max(len(lks) - 1, 0))
-        rmiss = ~(lks[rpos] == ku) if len(lks) else np.ones(len(ku), bool)
-        right_only = pa.table({
-            "o_orderkey": pa.array(ku[rmiss]),
-            "o_orderpriority": pa.array([None] * int(rmiss.sum()),
-                                        pa.string()),
-            "shipped_qty": pa.array(qsum[rmiss])})
-        return pa.concat_tables([out.cast(_EMPTY_FILL),
-                                 right_only.cast(_EMPTY_FILL)])
-
-    return exchange(orders.union(items), "k", join_scan)
+    return exchange([_window_orders(sf_dir), items], "o_orderkey", join_scan)
 
 
 def q_order_lines(sf_dir: str):
@@ -2350,79 +2196,24 @@ def q_order_lines(sf_dir: str):
     aggregate inside the scan): each window order attached to each of
     its lineitems, one output row per matched pair.
 
-    Shape: union co-partition (ONE exchange keyed on orderkey;
+    Shape: co-partition (ONE two-input exchange keyed on orderkey;
     lineitem pruned to 3 columns at the read — no combiner is
-    possible for a row join, so column pruning is the lever), then a
-    vectorized expansion scan: right side sorted by key once,
-    searchsorted start/end per left key, np.repeat + arange gather —
-    the interval_join expansion kernel on an equi predicate."""
-    lo = np.datetime64(_FILL_LO).astype("datetime64[us]").astype(np.int64)
-    hi = np.datetime64(_FILL_HI).astype("datetime64[us]").astype(np.int64)
-
-    def order_side(batch: pa.Table) -> pa.Table:
-        od = batch.column("o_orderdate").combine_chunks().cast(
-            pa.int64()).to_numpy(zero_copy_only=False)
-        m = (od >= lo) & (od < hi)
-        ok = batch.column("o_orderkey").to_numpy(zero_copy_only=False)[m]
-        return pa.table({
-            "k": pa.array(ok),
-            "prio": batch.column("o_orderpriority").combine_chunks().filter(
-                pa.array(m)),
-            "ln": pa.array(np.zeros(len(ok), np.int32)),
-            "qty": pa.array(np.zeros(len(ok), np.int64)),
-            "side": pa.array(np.zeros(len(ok), np.int8))})
-
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_orderdate", "o_orderpriority"]).map_batches(
-        order_side, batch_format="pyarrow", zero_copy_batch=True)
+    possible for a row join, so column pruning is the lever), then
+    one Arrow inner join per partition."""
 
     def item_side(batch: pa.Table) -> pa.Table:
-        keys = batch.column("l_orderkey").to_numpy(zero_copy_only=False)
         return pa.table({
-            "k": pa.array(keys),
-            "prio": pa.array([None] * len(keys), pa.string()),
-            "ln": batch.column("l_linenumber"),
+            "o_orderkey": batch.column("l_orderkey"),
+            "l_linenumber": batch.column("l_linenumber"),
             "qty": pa.array(batch.column("l_quantity").to_numpy(
-                zero_copy_only=False).astype(np.int64)),
-            "side": pa.array(np.ones(len(keys), np.int8))})
+                zero_copy_only=False).astype(np.int64))})
 
     items = ray.data.read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_orderkey", "l_linenumber", "l_quantity"]).map_batches(
         item_side, batch_format="pyarrow", zero_copy_batch=True)
-
-    _EMPTY_LINES = pa.schema([
-        ("o_orderkey", pa.int64()), ("o_orderpriority", pa.string()),
-        ("l_linenumber", pa.int32()), ("qty", pa.int64())])
-
-    def join_scan(group: pa.Table) -> pa.Table:
-        side = group.column("side").to_numpy(zero_copy_only=False)
-        left = group.filter(pa.array(side == 0))
-        if left.num_rows == 0:
-            return _EMPTY_LINES.empty_table()
-        rmask = side == 1
-        rk = group.column("k").to_numpy(zero_copy_only=False)[rmask]
-        if len(rk) == 0:
-            return _EMPTY_LINES.empty_table()
-        ro = np.argsort(rk, kind="stable")
-        rk = rk[ro]
-        right = group.filter(pa.array(rmask)).take(pa.array(ro))
-        lk = left.column("k").to_numpy(zero_copy_only=False)
-        beg = np.searchsorted(rk, lk, side="left")
-        end = np.searchsorted(rk, lk, side="right")
-        cnt = end - beg
-        li = np.repeat(np.arange(len(lk), dtype=np.int64), cnt)
-        ri = (np.repeat(beg, cnt)
-              + np.arange(int(cnt.sum()), dtype=np.int64)
-              - np.repeat(np.cumsum(cnt) - cnt, cnt))
-        return pa.table({
-            "o_orderkey": pa.array(lk[li]),
-            "o_orderpriority": left.column("prio").take(pa.array(li)),
-            "l_linenumber": right.column("ln").take(pa.array(ri)),
-            "qty": right.column("qty").take(pa.array(ri))})
-
-    return exchange(orders.union(items), "k", join_scan)
+    return exchange([_window_orders(sf_dir), items], "o_orderkey",
+                    lambda o, i: o.join(i, "o_orderkey", join_type="inner"))
 
 
 def q_sample_per_source(sf_dir: str):
@@ -3648,7 +3439,7 @@ def q_order_segments(sf_dir: str):
     heavy-hitter pass (per-block top-M combiner over the fact side's
     key column only) picks hot customers whose dimension rows are
     broadcast once (ray.put) and joined map-side with NO shuffle,
-    while cold keys ride the standard union co-partition exchange.
+    while cold keys ride the standard two-input co-partition exchange.
     At 100 TB this is the hot-key lever: a customer holding 1% of the
     fact table never serializes onto one partition task.  Both
     branches are live at every sf (hot_min_rows=15 vs ~10 orders per

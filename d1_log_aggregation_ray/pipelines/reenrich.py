@@ -84,8 +84,9 @@ def _reenrich_bucket(bdir: str, changed: pa.Array, side, sentinel_us: int,
         return 0
     # re-run J1/J3 for hit rows (vectorized over the whole bucket,
     # then blended by mask)
-    midx = pc.index_in(t.column("conv_id").combine_chunks(),
-                       side.meta_conv_id)
+    enc = t.column("conv_id").combine_chunks().dictionary_encode()
+    rows = side.meta_rows(np.array(enc.dictionary.to_pylist(), dtype=str))
+    midx = pc.take(pa.array(rows, mask=rows < 0), enc.indices)
     for col, src in (("format_id", side.meta_format_id),
                      ("series_id", side.meta_series_id),
                      ("rights_holder", side.meta_rights_holder),

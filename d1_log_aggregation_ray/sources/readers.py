@@ -110,7 +110,6 @@ def read_transcripts(fx_dir: str, buckets: list[int] | None = None,
 class SideTables:
     """Broadcast side inputs (all small; one ray.put for the whole set)."""
     # conv_meta (sysmeta analog): parallel arrays keyed by conv_id
-    meta_conv_id: pa.Array
     meta_format_id: pa.Array
     meta_series_id: pa.Array
     meta_size: np.ndarray           # int64, -1 for "no entry" handled via take
@@ -119,26 +118,31 @@ class SideTables:
     # tool -> family (ObjectFormatCache analog)
     tool_keys: pa.Array
     tool_family: pa.Array
-    # membership (DataONE_IPs analog): exact conv_id keys
-    member_keys: pa.Array
     # range_list (webRobotIPs CIDR analog): merged, sorted, non-overlapping
     # [lo, hi] intervals over the 32-bit md5 hash space + exact keys
     range_lo: np.ndarray            # uint64 sorted
     range_hi: np.ndarray
-    range_exact_keys: pa.Array
     # DRIVER-PREBUILT lookup indexes (built once here, shipped to every
     # worker): fixed-width numpy string arrays resolved via vectorized
     # np.searchsorted.  Python dict/set builds of 100k+ strings take
     # seconds per worker under a concurrent fleet start (GIL + allocator
     # churn), so workers must never build their own indexes.
+    # membership (DataONE_IPs analog) + range_list exact keys
     member_sorted: np.ndarray       # sorted U-dtype: member + exact keys
     meta_keys_sorted: np.ndarray    # sorted U-dtype conv_ids of conv_meta
     meta_perm: np.ndarray           # meta_keys_sorted[i] -> row in meta_*
     # regex banks (full/partial robot list analogs), union-compiled
     partial_union: str
     full_union: str
-    partial_patterns: list[str]
-    full_patterns: list[str]
+
+    def meta_rows(self, conv_ids: np.ndarray) -> np.ndarray:
+        """Row in the meta_* arrays of each conv_id of a U-dtype array,
+        -1 where conv_meta has none."""
+        ks = self.meta_keys_sorted
+        if not (len(ks) and len(conv_ids)):
+            return np.full(len(conv_ids), -1, dtype=np.int64)
+        pos = np.clip(np.searchsorted(ks, conv_ids), 0, len(ks) - 1)
+        return np.where(ks[pos] == conv_ids, self.meta_perm[pos], -1)
 
 
 def _merge_intervals(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,7 +214,6 @@ def _load_side_tables(fx_dir: str) -> SideTables:
         member_sorted=member_sorted,
         meta_keys_sorted=meta_keys_sorted,
         meta_perm=meta_perm,
-        meta_conv_id=meta.column("conv_id").combine_chunks(),
         meta_format_id=meta.column("format_id").combine_chunks(),
         meta_series_id=meta.column("series_id").combine_chunks(),
         meta_size=meta.column("size").to_numpy(),
@@ -218,11 +221,7 @@ def _load_side_tables(fx_dir: str) -> SideTables:
         meta_read_permission=meta.column("read_permission").combine_chunks(),
         tool_keys=etl.column("tool").combine_chunks(),
         tool_family=etl.column("tool_family").combine_chunks(),
-        member_keys=reg.column("member_key").combine_chunks(),
         range_lo=lo, range_hi=hi,
-        range_exact_keys=exact,
         partial_union=union_pattern(partial),
         full_union=union_pattern(full),
-        partial_patterns=partial,
-        full_patterns=full,
     )

@@ -1,20 +1,22 @@
-"""Salted-key grouped aggregation — the skew-splitting pattern for hot
-keys (S3 analog: the reference bisects hot date ranges,
-v1/NodeCommunication.java:96-111; here hot conv_ids are split across
-salt shards before the exchange so no single reducer owns a mega key).
+"""Grouped aggregation over the package's one hash exchange.
 
-    groupby((key, salt)) partial aggregate   [hot key spread over
-                                              n_salt shards]
-      -> groupby(key) merge of partials      [n_salt rows per key max]
+`hash_partition_aggregate` is `exchange` plus one Arrow C++ group_by
+per partition.  `count_max` first collapses each batch to one
+partial row per key, so a hot key (S3 analog: the reference bisects
+hot date ranges, v1/NodeCommunication.java:96-111) sends at most one
+row per block through the exchange, never its raw rows:
+
+    group_by(key) partial per batch   [<= 1 row per key per block]
+      -> exchange + group_by(key) merge of the partials
 
 Works for any decomposable aggregate (count/sum/min/max).  The
-order-dependent window operator can NOT be salted (sequential state) —
-that one relies on conv-local buckets instead (stages/window.py).
+order-dependent window operator can NOT be pre-aggregated
+(sequential state) — that one relies on conv-local buckets instead
+(stages/window.py).
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -51,31 +53,21 @@ def hash_partition_aggregate(ds: ray.data.Dataset, keys: list[str],
     return exchange(ds, keys[0], agg_part)
 
 
-def salted_count_max(ds: ray.data.Dataset, key: str, ts_col: str,
-                     n_salt: int = 8,
-                     out_count: str = "n_turns",
-                     out_max: str = "max_ts") -> ray.data.Dataset:
-    """Per-key (count, max(ts)) with salt-sharded partials.
+def count_max(ds: ray.data.Dataset, key: str, ts_col: str,
+              out_count: str = "n_turns",
+              out_max: str = "max_ts") -> ray.data.Dataset:
+    """Per-key (count, max(ts)) with per-batch partials.
 
-    Equivalent to ds.groupby(key).aggregate(Count(), Max(ts)) but a key
-    holding 4% of all rows contributes n_salt partial rows to the final
-    exchange instead of 4% of the data.
+    Equivalent to ds.groupby(key).aggregate(Count(), Max(ts)), but a
+    key holding 4% of all rows contributes one partial row per input
+    block to the exchange instead of 4% of the data.
     """
 
     def partial(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        # round-robin salt: deterministic-enough spread; the salt only
-        # partitions the partial aggregate, never the result
-        salt = pa.array((np.arange(n) % n_salt).astype(np.int32))
-        t = pa.table({
-            key: batch.column(key),
-            "_salt": salt,
-            ts_col: batch.column(ts_col),
-        })
-        agg = t.group_by([key, "_salt"]).aggregate(
-            [([], "count_all"), (ts_col, "max")])
-        name_map = {key: key, "_salt": "_salt",
-                    "count_all": out_count, f"{ts_col}_max": out_max}
+        t = pa.table({key: batch.column(key), ts_col: batch.column(ts_col)})
+        agg = t.group_by(key).aggregate([([], "count_all"), (ts_col, "max")])
+        name_map = {key: key, "count_all": out_count,
+                    f"{ts_col}_max": out_max}
         return agg.rename_columns([name_map[c] for c in agg.column_names])
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
@@ -83,7 +75,7 @@ def salted_count_max(ds: ray.data.Dataset, key: str, ts_col: str,
     # final merge via the high-cardinality hash-partition aggregate
     # (conv-count keys would crawl through Ray's per-group reduce)
     merged = hash_partition_aggregate(
-        partials.drop_columns(["_salt"]), [key],
+        partials, [key],
         [(out_count, "sum"), (out_max, "max")],
         rename={f"{out_count}_sum": out_count, f"{out_max}_max": out_max})
 

@@ -150,12 +150,7 @@ class Enricher:
             h32 = h64 % np.uint64(2**32)
             p = np.searchsorted(lo, h32, side="right") - 1
             member |= (p >= 0) & (h32 <= hi[np.clip(p, 0, None)])
-        ks = side.meta_keys_sorted
-        if len(ks) and n:
-            pos = np.clip(np.searchsorted(ks, mu), 0, len(ks) - 1)
-            meta_row = np.where(ks[pos] == mu, side.meta_perm[pos], -1)
-        else:
-            meta_row = np.full(n, -1, dtype=np.int64)
+        meta_row = side.meta_rows(mu)
         lat = (h64 % np.uint64(170000)).astype(np.float64) / 1000.0 - 85.0
         lon = ((h64 // np.uint64(170000)) % np.uint64(360000)
                ).astype(np.float64) / 1000.0 - 180.0

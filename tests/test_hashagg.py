@@ -295,9 +295,26 @@ ray.shutdown()
 """
 
 
-def test_exchange_failing_partitions_leave_no_unhandled_errors():
-    """fn raising in three partitions raises its own type once, and
-    no failed task is left for Ray to log as an unhandled error."""
+_MAPPER_FAIL_SCRIPT = """
+import gc, time
+import pyarrow as pa
+import ray, ray.data
+ray.init(address="local", num_cpus=2, include_dashboard=False)
+from d1_log_aggregation_ray.functions.parts import exchange
+
+t = pa.table({"k": list(range(40)), "v": list(range(40))})
+ds = ray.data.from_arrow([t.slice(i, 10) for i in range(0, 40, 10)])
+try:
+    exchange(ds, "missing", lambda g: g)   # every mapper fails
+except KeyError:
+    print("caught KeyError")
+gc.collect()
+time.sleep(2)   # Ray logs an unhandled task error when its ref is freed
+ray.shutdown()
+"""
+
+
+def _run_script(script: str):
     import os
     import subprocess
     import sys
@@ -305,9 +322,138 @@ def test_exchange_failing_partitions_leave_no_unhandled_errors():
     env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (repo, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _FAIL_SCRIPT],
+    proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=env,
                           cwd=repo, timeout=180)
     assert proc.returncode == 0, proc.stderr[-3000:]
-    assert "caught Boom" in proc.stdout
     assert "Unhandled error" not in proc.stderr, proc.stderr[-3000:]
+    return proc
+
+
+def test_exchange_failing_partitions_leave_no_unhandled_errors():
+    """fn raising in three partitions raises its own type once, and
+    no failed task is left for Ray to log as an unhandled error."""
+    assert "caught Boom" in _run_script(_FAIL_SCRIPT).stdout
+
+
+def test_exchange_failing_mappers_leave_no_unhandled_errors():
+    """A key column the input lacks fails every mapper: the caller
+    sees KeyError, and no failed mapper return is left for Ray to log
+    as an unhandled error."""
+    assert "caught KeyError" in _run_script(_MAPPER_FAIL_SCRIPT).stdout
+
+
+def _sides(n_left: int = 400, n_right: int = 600):
+    """Two join sides sharing keys 10..19; keys 0..9 are left-only and
+    20..29 right-only."""
+    rng = np.random.RandomState(13)
+    left = pa.table({"k": pa.array(rng.randint(0, 20, n_left)),
+                     "a": pa.array(np.arange(n_left))})
+    right = pa.table({"k": pa.array(rng.randint(10, 30, n_right)),
+                      "b": pa.array(np.arange(n_right) * 10)})
+    return left, right
+
+
+def _frame_eq(got: pd.DataFrame, want: pd.DataFrame) -> None:
+    cols = sorted(want.columns)
+    pd.testing.assert_frame_equal(
+        got[cols].sort_values(cols).reset_index(drop=True),
+        want[cols].sort_values(cols).reset_index(drop=True),
+        check_dtype=False)
+
+
+def test_exchange_two_inputs_join_shapes_match_pandas(monkeypatch):
+    """Inner, anti and full-outer joins written as fn(left, right)
+    over a two-input exchange match pandas.  With P = 64 and 30 keys,
+    most partitions hold one side only, so fn must get the other
+    side's columns there too."""
+    monkeypatch.setattr(parts, "_cpus", lambda: 32)   # P = 64
+    left, right = _sides()
+    lp, rp = left.to_pandas(), right.to_pandas()
+    shapes = [
+        (lambda l, r: l.join(r, "k", join_type="inner"),
+         lp.merge(rp, on="k")),
+        (lambda l, r: l.filter(pa.array(
+            ~np.isin(l.column("k").to_numpy(), r.column("k").to_numpy()))),
+         lp[~lp["k"].isin(rp["k"])]),
+        (lambda l, r: l.join(r, "k", join_type="full outer"),
+         lp.merge(rp, on="k", how="outer")),
+    ]
+    for fn, want in shapes:
+        got = exchange([_blocks(left, 4), _blocks(right, 6)], "k", fn)
+        _frame_eq(got.to_pandas(), want)
+
+
+def test_exchange_side_without_rows_in_a_partition_arrives_typed(
+        monkeypatch):
+    monkeypatch.setattr(parts, "_cpus", lambda: 32)   # P = 64
+    left, right = _sides()
+
+    def fn(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        assert lt.schema.equals(pa.schema([("k", pa.int64()),
+                                           ("a", pa.int64())]))
+        assert rt.schema.equals(pa.schema([("k", pa.int64()),
+                                           ("b", pa.int64())]))
+        assert lt.num_rows + rt.num_rows > 0
+        return pa.table({"nl": [lt.num_rows], "nr": [rt.num_rows]})
+
+    got = exchange([_blocks(left, 4), _blocks(right, 6)], "k",
+                   fn).to_pandas()
+    assert got["nl"].sum() == left.num_rows
+    assert got["nr"].sum() == right.num_rows
+    assert (got["nl"] == 0).any() and (got["nr"] == 0).any()
+
+
+def test_exchange_input_without_rows_comes_from_its_schema():
+    """A right side with no rows at all reaches every call as its own
+    zero-row table: a full-outer join keeps every left row, b NULL.
+    A map over no rows has no schema: that side comes with no
+    columns."""
+    left, right = _sides()
+    empty = _ds(right).filter(expr="b < 0")
+    got = exchange([_blocks(left, 4), empty], "k",
+                   lambda l, r: l.join(r, "k", join_type="full outer"))
+    want = left.to_pandas().assign(b=np.nan)
+    _frame_eq(got.to_pandas(), want)
+    got = exchange([_blocks(left, 4), _ds(right.slice(0, 0))], "k",
+                   lambda l, r: pa.table({"cols": [r.num_columns],
+                                          "rows": [r.num_rows]}))
+    got = got.to_pandas()
+    assert len(got) > 0 and (got["cols"] == 0).all()
+    assert (got["rows"] == 0).all()
+
+
+def _pair_counts():
+    """fn for two inputs: (key, left rows, right rows) per key seen."""
+    def fn(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        kl = lt.column("k").to_numpy().astype(np.int64)
+        kr = rt.column("k").to_numpy().astype(np.int64)
+        k = np.union1d(kl, kr)
+        return pa.table({"k": k,
+                         "nl": (kl[:, None] == k).sum(0),
+                         "nr": (kr[:, None] == k).sum(0)})
+    return fn
+
+
+def test_exchange_int32_and_int64_keys_colocate():
+    left, right = _sides()
+    left = left.set_column(0, "k", left.column("k").cast(pa.int32()))
+    got = exchange([_blocks(left, 4), _blocks(right, 6)], "k",
+                   _pair_counts()).to_pandas()
+    want = (left.to_pandas().groupby("k").size().rename("nl").to_frame()
+            .join(right.to_pandas().groupby("k").size().rename("nr"),
+                  how="outer").fillna(0).reset_index())
+    # one row per key: every key met both sides in one call
+    _frame_eq(got, want)
+
+
+def test_exchange_two_inputs_fn_exception_keeps_its_type():
+    class Boom(ValueError):
+        pass
+
+    def fn(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        raise Boom("bad join partition")
+
+    left, right = _sides(30, 30)
+    with pytest.raises(Boom, match="bad join partition"):
+        exchange([_ds(left), _ds(right)], "k", fn)

@@ -1,6 +1,8 @@
 """Every keyed shuffle in the package goes through functions/parts: with
 Ray Data's own groupby, repartition and sum patched to raise, each
-operator that once used one still matches its oracle."""
+operator that once used one still matches its oracle; with
+Dataset.union patched to raise, so does every two-sided join, which
+hands its sides to exchange separately."""
 
 import duckdb
 import pytest
@@ -18,6 +20,13 @@ def no_ray_shuffle(monkeypatch):
         monkeypatch.setattr(ray.data.Dataset, name, refuse)
 
 
+@pytest.fixture
+def no_union(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("Dataset.union ran")
+    monkeypatch.setattr(ray.data.Dataset, "union", refuse)
+
+
 @pytest.fixture(scope="module")
 def con():
     c = duckdb.connect()
@@ -33,6 +42,14 @@ def con():
     "events_agg", "dedup_clusters"])
 def test_query_matches_oracle_without_ray_shuffle(name, no_ray_shuffle,
                                                   con, fx_dir):
+    _check_query_vs_oracle(name, SF_DIR, con)
+
+
+@pytest.mark.parametrize("name", [
+    "top_orders", "big_orders", "regional_revenue", "cust_no_orders",
+    "order_fill", "order_fill_outer", "order_lines", "interval_join",
+    "priority_semi", "dedup_ngram", "incremental_minhash"])
+def test_join_matches_oracle_without_union(name, no_union, con, fx_dir):
     _check_query_vs_oracle(name, SF_DIR, con)
 
 
