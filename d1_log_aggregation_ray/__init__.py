@@ -10,17 +10,18 @@ conversation/agent transcripts:
 
 Pipeline shape (reference: LogHarvesterTask.harvest,
 LogHarvesterTask.java:129-525), one stage list in
-pipelines.harvest.build_pipeline:
+pipelines.harvest._run_stages:
 
     read conv-hash bucket files -> clean/project + windowed
     repeat-visit scan (one task per bucket, no shuffle) -> slice
     -> regex parse + broadcast enrich + hash fan-out route (one task
     per slice) -> partitioned parquet sinks + lineage manifest
 
-Everything in the flagship is idiomatic Ray Data: `map_batches` over
-zero-copy Arrow batches, a worker-cached Enricher called as a task, no
-exchange (the input is bucketed by conv hash), and partition-atomic
-writes with a resumable checkpoint manifest.  Keyed queries group
+The flagship runs on raw Ray tasks: one streaming scan task per
+bucket yields zero-copy Arrow slices, one task per slice calls a
+worker-cached Enricher, there is no exchange (the input is bucketed by
+conv hash), and writes are partition-atomic with a resumable
+checkpoint manifest.  Registry queries are Ray Data.  Keyed queries group
 through `functions.parts.exchange`, a raw M x P Ray-task hash exchange
 that runs eagerly and never emits an empty partition.
 """

@@ -1,30 +1,39 @@
 """The flagship harvest pipeline: read -> clean -> window scan -> enrich.
 
 End-to-end analog of LogHarvesterTask.harvest
-(LogHarvesterTask.java:129-525), re-expressed as ONE Ray Data stage
-list (build_pipeline) with a pluggable terminal:
+(LogHarvesterTask.java:129-525), re-expressed as ONE stage list of raw
+Ray tasks (_run_stages) with two terminals:
 
-    read_transcripts(one block per bucket file)   [S1/S2]
+    scan task per bucket file (streaming)          [S1/S2]
+      read with in-task retry                     [C5]
       -> clean_project + bucket_window_scan       [M1-M5, O1 sort + W1]
-         + _encode_hop, one unfused task/bucket
       -> past_watermark filter (delta runs only)  [A1 watermark]
-      -> streaming repartition to slices          [skew-splitting]
-      -> enrich task per slice (_get_enricher)    [R1-R3, J1-J5, M4, S6]
-         and either write per-(bucket, sink)
-         parquet + return stats (run_harvest), or return enriched rows
+      -> yield write_slice_rows slices, then the bucket's stage
+         record                                   [skew-splitting]
+    slice task per slice (_get_enricher)          [R1-R3, J1-J5, M4, S6]
+      -> either enrich, write per-(bucket, sink) parquet and return
+         stats (run_harvest), or return the enriched rows
+         (build_pipeline, a Dataset over the slice tasks' tables)
 
 Design notes (scale):
   - No all-to-all exchange: the corpus is conv-hash partitioned, so
-    the order-dependent window scan runs per bucket block in place.
-  - Side tables are ray.put once; every enrich task reads the same
-    object-store copy through a worker-global cached Enricher.
+    the order-dependent window scan runs per bucket file in place.
+  - No Ray Data executor between the stages: on a small pool its
+    scheduling cost more than the stages themselves.  The driver
+    multiplexes each wave's scan generators with ray.wait and submits
+    one slice task per yielded slice, so a hot bucket still fans out
+    across the pool at slice granularity.
+  - Side tables are ray.put once; every slice task receives the ref
+    nested in a list (unresolved), so the worker-global cached Enricher
+    keyed by it is reused across tasks.
   - Buckets (the generator's hash partitions; convs never span them)
     are the resume unit, processed in waves; each completed wave appends
-    per-bucket lineage records to the checkpoint manifest.
+    per-bucket lineage and stage records to the checkpoint manifest.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 import shutil
@@ -39,8 +48,9 @@ import pyarrow.dataset as pads
 import ray
 import ray.data
 
-from ..config import PipelineConfig, DEFAULT_CONFIG, BUCKET_TASK_CPUS
-from ..sources.readers import read_transcripts, load_side_tables
+from ..config import PipelineConfig, DEFAULT_CONFIG
+from ..sources import readers
+from ..sources.readers import load_side_tables
 from ..stages.project import clean_project
 from ..stages.window import bucket_window_scan
 from ..stages.enrich import Enricher, DEFAULT_RUN_TS
@@ -48,105 +58,135 @@ from ..state.manifest import Manifest
 
 _LOG = logging.getLogger(__name__)
 
+_NO_FLOOR = np.iinfo(np.int64).min
+
 
 def build_pipeline(fx_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
                    buckets: list[int] | None = None,
                    run_ts: datetime = DEFAULT_RUN_TS,
-                   side_ref=None, *, out_dir: str | None = None,
-                   ts_floors: dict[int, str | None] | None = None,
-                   ) -> ray.data.Dataset:
-    """The flagship stage list over the given buckets (all by default).
-
-    Without `out_dir` the lazy Dataset yields the enriched records;
-    with it, each slice is enriched and written under `out_dir` and the
-    Dataset yields per-slice stats rows (_STATS_SCHEMA).  `ts_floors`
-    ({bucket: iso max_ts or None}) keeps only rows past each bucket's
-    watermark, after the scan has seen the whole bucket."""
+                   side_ref=None) -> ray.data.Dataset:
+    """The flagship stage list over the given buckets (all by default),
+    closed by the row terminal: a materialized Dataset of the enriched
+    records, one block per slice.  Runs eagerly, as `exchange` does."""
     if side_ref is None:
         side_ref = ray.put(load_side_tables(fx_dir))
-    ds = read_transcripts(fx_dir, buckets=buckets, one_block_per_bucket=True)
-
-    def clean_then_scan(batch, cfg=cfg):
-        # defer_derived: turn_id/version_compliance are re-derived
-        # by the Enricher AFTER the scan->slice plasma transit, so
-        # ~30 B/row of derivable strings never cross the object
-        # store; _encode_hop dictionary-encodes the repeated string
-        # columns for the same reason (both are the 8->32 CPU
-        # shared-memory ceiling lever — see _HOP_DICT_COLS)
-        return _encode_hop(bucket_window_scan(
-            clean_project(batch, cfg, defer_derived=True), cfg,
-            check_bucket=True))
-
-    # BUCKET_TASK_CPUS on the per-bucket scan prevents operator fusion
-    # with the slice stage: fused, each task would process a WHOLE
-    # bucket serially and the hot-conv bucket becomes the job's
-    # critical path; unfused, scanned blocks redistribute across
-    # the pool as ~64k-row slices (skew-splitting).  A fully-fused
-    # read+scan+enrich+write single-task-per-bucket variant was
-    # built and measured in round 3: it LOST everywhere — 3.7x
-    # slower at 16 CPUs (308k vs 1138k turns/s, sf5) because the
-    # hot bucket serializes the whole job — so slice-splitting
-    # through one plasma hop is the keeper despite this box's slow
-    # object store.
-    ds = ds.map_batches(clean_then_scan, batch_size=None,
-                        batch_format="pyarrow", zero_copy_batch=True,
-                        num_cpus=BUCKET_TASK_CPUS)
-    if ts_floors:
-        ds = ds.map_batches(_past_watermark_fn(ts_floors, cfg),
-                            batch_format="pyarrow", zero_copy_batch=True,
-                            num_cpus=BUCKET_TASK_CPUS)
-    # Ray distributes map work at BLOCK granularity: without this,
-    # a whole bucket is ONE block, the terminal stage runs one
-    # task per bucket (write_slice_rows then only batches WITHIN
-    # that task), and the hot bucket serializes onto the critical
-    # path.  Streaming repartition splits oversized scan-output
-    # blocks into ~slice-row blocks with no shuffle, so enrich+
-    # write fans out across the whole pool.  (Lowering
-    # DataContext.target_max_block_size instead is WRONG: it also
-    # splits blocks BETWEEN the fused read->scan UDFs, feeding the
-    # window scan bucket fragments — measured repeat-visit counts
-    # collapsed 238k -> 16k at sf5.)
-    ds = ds.repartition(target_num_rows_per_block=cfg.write_slice_rows)
-    kwargs = {"side_ref": side_ref, "cfg": cfg, "run_ts": run_ts}
-    if out_dir is not None:
-        terminal, kwargs["out_dir"] = _enrich_and_write_slice, out_dir
-    else:
-        terminal = _enrich_rows
-    return ds.map_batches(terminal, batch_size=cfg.write_slice_rows,
-                          batch_format="pyarrow", zero_copy_batch=True,
-                          fn_kwargs=kwargs)
+    if buckets is None:
+        buckets = _corpus_buckets(fx_dir)
+    stages = _run_stages(fx_dir, buckets, cfg, side_ref, _enrich_rows,
+                         {"cfg": cfg, "run_ts": run_ts})
+    return ray.data.from_arrow_refs(
+        [t for _, outs in stages.values() for t, _ in outs])
 
 
-def _past_watermark_fn(ts_floors: dict[int, str | None],
-                       cfg: PipelineConfig):
+def scan_bucket(path: str, cfg: PipelineConfig, floor_us: int | None = None,
+                fault: str | None = None):
+    """The per-bucket stage: read, clean, window-scan the WHOLE bucket,
+    keep only rows past `floor_us` on a delta run (None: keep all),
+    then yield the rows as write_slice_rows slices and, last, the
+    bucket's stage record (a dict)."""
+    t0, c0 = time.perf_counter(), time.process_time()
+    raw = readers.read_bucket_file(path, fault=fault)
+    # defer_derived: turn_id/version_compliance are re-derived by the
+    # Enricher after the scan->slice object-store hop, so ~30 B/row of
+    # derivable strings never cross it
+    t = clean_project(raw, cfg, defer_derived=True)
+    n_clean = t.num_rows
+    t = bucket_window_scan(t, cfg, check_bucket=True)
+    if floor_us is not None:
+        t = _past_watermark(t, floor_us)
+    step = cfg.write_slice_rows
+    for off in range(0, t.num_rows, step):
+        yield t.slice(off, step)
+    yield {"rows_read": raw.num_rows, "rows_dropped": raw.num_rows - n_clean,
+           "rows_out": t.num_rows, "slices": -(-t.num_rows // step),
+           "wall_s": round(time.perf_counter() - t0, 4),
+           "cpu_s": round(time.process_time() - c0, 4)}
+
+
+_scan_bucket = ray.remote(num_cpus=1, num_returns="streaming")(scan_bucket)
+
+
+@ray.remote(num_cpus=1, num_returns=2)
+def _slice(batch: pa.Table, side: list, terminal, kwargs: dict) -> tuple:
+    """One slice through one terminal: (its table, [wall_s, cpu_s]).
+    `side` is [side_ref]: nested, Ray leaves the ref unresolved, so
+    _get_enricher's per-worker cache (keyed by the ref) hits."""
+    t0, c0 = time.perf_counter(), time.process_time()
+    out = terminal(batch, side_ref=side[0], **kwargs)
+    return out, [time.perf_counter() - t0, time.process_time() - c0]
+
+
+def _scan_wave(fx_dir: str, buckets: list[int], cfg: PipelineConfig,
+               floors: dict[int, int] | None = None) -> dict:
+    """Submit one scan task per bucket, largest file first, and return
+    {scan generator: bucket}.  Called once per wave attempt."""
+    paths = {b: os.path.join(fx_dir, "transcripts", f"part-{b:02d}.parquet")
+             for b in buckets}
+    fault = readers._FAULT_ONCE_PATH  # read at submit time
+    order = sorted(buckets, key=lambda b: -os.path.getsize(paths[b]))
+    return {_scan_bucket.remote(paths[b], cfg,
+                                None if floors is None else floors[b],
+                                fault): b
+            for b in order}
+
+
+def _run_stages(fx_dir: str, buckets: list[int], cfg: PipelineConfig,
+                side_ref, terminal, kwargs: dict,
+                floors: dict[int, int] | None = None) -> dict:
+    """Scan `buckets` and send every slice through `terminal`; returns
+    {bucket: (scan stage record, [(table ref, timing ref) per slice])}.
+
+    A scan generator's last item is its record, so each yielded ref is
+    held until the next one arrives and only then submitted as a slice.
+    On any failure the scans are cancelled and the submitted slice tasks
+    waited out before the error propagates, so no late write can land
+    in a bucket dir the caller clears."""
+    gens = _scan_wave(fx_dir, buckets, cfg, floors)
+    held: dict = {}
+    out: dict[int, tuple] = {b: (None, []) for b in buckets}
+    pending = list(gens)
+    try:
+        while pending:
+            ready, pending = ray.wait(pending, num_returns=1)
+            for g in ready:
+                b = gens[g]
+                try:
+                    ref = next(g)
+                except StopIteration:
+                    out[b] = (ray.get(held.pop(g)), out[b][1])
+                    continue
+                if g in held:
+                    out[b][1].append(_slice.remote(held[g], [side_ref],
+                                                   terminal, kwargs))
+                held[g] = ref
+                pending.append(g)
+    except BaseException:
+        for g in gens:
+            ray.cancel(g)
+        refs = [r for _, outs in out.values() for pair in outs for r in pair]
+        if refs:
+            ray.wait(refs, num_returns=len(refs), fetch_local=False)
+        raise
+    return out
+
+
+def _past_watermark(t: pa.Table, floor_us: int) -> pa.Table:
     """Incremental delta harvest filter: the window scan ran over the
     FULL bucket (repeat-visit flags of a new turn depend on its conv's
     prior turns), but only rows past the bucket's recorded watermark
-    are enriched + written.  Appended rows at ts <= watermark (late
-    data) are not re-harvested — exactly the reference's dateLogged-
-    window semantics (LogHarvesterTask.java:189-204: harvest
-    (logLastAggregated + 1ms, end])."""
-    from ..functions.hashing import md5_lower64_array
-    floors_us = np.full(cfg.n_buckets, np.iinfo(np.int64).min,
-                        dtype=np.int64)
-    for b, iso in ts_floors.items():
-        if iso is not None:
-            floors_us[b] = int(pa.scalar(datetime.fromisoformat(iso),
-                                         type=pa.timestamp("us")).value)
+    are enriched + written; a null ts never is.  Appended rows at
+    ts <= watermark (late data) are not re-harvested — exactly the
+    reference's dateLogged-window semantics (LogHarvesterTask.java:
+    189-204: harvest (logLastAggregated + 1ms, end])."""
+    ts = pc.fill_null(t.column("ts").cast(pa.int64()), _NO_FLOOR)
+    return t.filter(pc.greater(ts, floor_us))
 
-    def past_watermark(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
-        conv = batch.column("conv_id")
-        if pa.types.is_dictionary(conv.type):
-            conv = pc.cast(conv, pa.string())  # hop dict form
-        h64 = md5_lower64_array(conv)
-        bkt = (h64 % np.uint64(cfg.n_buckets)).astype(np.int64)
-        ts = pc.fill_null(
-            batch.column("ts").combine_chunks().cast(pa.int64()),
-            np.iinfo(np.int64).min).to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array(ts > floors_us[bkt]))
-    return past_watermark
+
+def _floor_us(iso: str | None) -> int:
+    if iso is None:
+        return _NO_FLOOR
+    return int(pa.scalar(datetime.fromisoformat(iso),
+                         type=pa.timestamp("us")).value)
 
 
 # worker-process-global Enricher cache (workers are reused across tasks;
@@ -182,43 +222,16 @@ def _get_enricher(side_ref, cfg, run_ts, light: bool = False) -> Enricher:
     return e
 
 
-# Columns dictionary-encoded across the ONE object-store transit of the
-# flagship (window-scan output -> enrich/write slices).  conv_id repeats
-# ~turns-per-conv times within a bucket block and role/tool are tiny
-# vocabularies, so encoding cuts the hop from ~80 to ~56 B/row (-29%)
-# — measured sf5 part-00: conv_id 15.9->5.2, role 9.8->4.0, tool
-# 11.1->4.1 B/row.  On this box the object store saturates at
-# ~100 MB/s shared (r1: 1.17M turns/s x 80 B plateau at BOTH 16 and 32
-# CPUs), so high-parallelism throughput scales ~1/bytes; the decode
-# back to plain strings happens in-task on the consumer side where it
-# costs memcpy, not plasma bandwidth.  text is NOT encoded (unique per
-# turn — a dictionary would only add overhead).
-_HOP_DICT_COLS = ("conv_id", "role", "tool")
-
-
-def _encode_hop(t: pa.Table) -> pa.Table:
-    for c in _HOP_DICT_COLS:
-        i = t.schema.get_field_index(c)
-        if i >= 0 and not pa.types.is_dictionary(t.column(i).type):
-            t = t.set_column(
-                i, c, pc.dictionary_encode(t.column(i).combine_chunks()))
-    return t
-
-
-def _decode_hop(t: pa.Table) -> pa.Table:
-    for c in _HOP_DICT_COLS:
-        i = t.schema.get_field_index(c)
-        if i >= 0 and pa.types.is_dictionary(t.column(i).type):
-            t = t.set_column(i, c, pc.cast(t.column(i), pa.string()))
-    return t
-
-
 _STATS_SCHEMA = pa.schema([
     ("bucket_id", pa.int32()), ("rows_out", pa.int64()),
     ("in_partial_list", pa.int64()), ("in_full_list", pa.int64()),
     ("is_repeat_visit", pa.int64()), ("max_ts", pa.string()),
     ("per_sink", pa.string()), ("error_rows", pa.int64()),
 ])
+
+#: additive per-bucket lineage counters (stats rows -> manifest records)
+_COUNTS = ("rows_out", "in_partial_list", "in_full_list", "is_repeat_visit",
+           "error_rows")
 
 # sink-retry operating point (reference: MAX_OFFERED_ATTEMPTS = 5,
 # LogHarvesterTask.java:103,474-480)
@@ -265,18 +278,27 @@ def _write_with_retry(table: pa.Table, path: str) -> None:
 def _enrich_rows(batch: pa.Table, side_ref, cfg, run_ts,
                  light: bool = False) -> pa.Table:
     """Row terminal: enrich a slice and return the enriched records
-    (build_pipeline without out_dir, and the registry's enrich
-    queries)."""
-    return _get_enricher(side_ref, cfg, run_ts, light)(_decode_hop(batch))
+    (build_pipeline, and the registry's enrich queries)."""
+    return _get_enricher(side_ref, cfg, run_ts, light)(batch)
+
+
+def _groups(t: pa.Table, col: str) -> list[tuple]:
+    """(value, rows) per distinct value of `col`; no filter when the
+    column holds one value."""
+    c = t.column(col)
+    mm = pc.min_max(c)
+    if mm["min"] == mm["max"]:
+        return [(mm["min"].as_py(), t)]
+    return [(v, t.filter(pc.equal(c, v))) for v in pc.unique(c).to_pylist()]
 
 
 def _enrich_and_write_slice(batch: pa.Table, out_dir: str, side_ref, cfg,
                             run_ts) -> pa.Table:
-    """Terminal fused stage: enrich a slice of scanned rows and write
-    its per-(bucket, sink) parquet files directly, returning per-bucket
+    """Write terminal: enrich a slice of scanned rows and write its
+    per-(bucket, sink) parquet files directly, returning per-bucket
     lineage/stats rows.
 
-    Writing inside the map task keeps the (4-5x wider) enriched data
+    Writing inside the slice task keeps the (4-5x wider) enriched data
     out of the object store — it saves a full copy + transfer of every
     enriched block.  Slices (not whole buckets) are the write unit so a
     hot-conv bucket doesn't become a straggler task: the 100TB skew
@@ -287,7 +309,6 @@ def _enrich_and_write_slice(batch: pa.Table, out_dir: str, side_ref, cfg,
     the Solr upsert-by-id analog)."""
     from ..functions.hashing import md5_lower64
     e = _get_enricher(side_ref, cfg, run_ts)
-    batch = _decode_hop(batch)  # in-task; plasma carried the dict form
     n = batch.num_rows
     if n == 0:
         return _STATS_SCHEMA.empty_table()
@@ -315,38 +336,23 @@ def _enrich_and_write_slice(batch: pa.Table, out_dir: str, side_ref, cfg,
     err_row = [{
         "bucket_id": -1, "rows_out": 0, "in_partial_list": 0,
         "in_full_list": 0, "is_repeat_visit": 0, "max_ts": None,
-        "per_sink": "", "error_rows": error_rows,
+        "per_sink": "{}", "error_rows": error_rows,
     }] if error_rows else []
     if not outs:
         return pa.Table.from_pylist(err_row, schema=_STATS_SCHEMA)
     t = pa.concat_tables(outs).combine_chunks()
 
     stats_rows = []
-    bucket_col = t.column("bucket_id")
-    bmm = pc.min_max(bucket_col)
-    uniq_buckets = ([bmm["min"].as_py()]
-                    if bmm["min"] == bmm["max"]
-                    else pc.unique(bucket_col).to_pylist())
-    for b in uniq_buckets:
-        tb = (t if len(uniq_buckets) == 1
-              else t.filter(pc.equal(bucket_col, b)))
+    # a slice is one bucket (its scan task read one bucket file), and
+    # one bucket often maps to one sink (when n_sinks divides n_buckets,
+    # hash % n_sinks is constant per bucket): _groups skips the filter
+    for b, tb in _groups(t, "bucket_id"):
         bdir = os.path.join(out_dir, f"bucket_id={b}")
         tag = md5_lower64(
             f"{tb.column('turn_id')[0].as_py()}|"
             f"{tb.column('turn_id')[-1].as_py()}|{tb.num_rows}")
         per_sink = {}
-        sink_col = tb.column("sink_id")
-        # single-sink fast path: after the per-bucket repartition a
-        # slice is one bucket, and one bucket often maps to one sink
-        # (when n_sinks divides n_buckets, hash % n_sinks is constant
-        # per bucket) — skip the filter entirely then
-        smm = pc.min_max(sink_col)
-        uniq_sinks = ([smm["min"].as_py()]
-                      if smm["min"] == smm["max"]
-                      else pc.unique(sink_col).to_pylist())
-        for s in uniq_sinks:
-            sub = (tb if len(uniq_sinks) == 1
-                   else tb.filter(pc.equal(sink_col, s)))
+        for s, sub in _groups(tb, "sink_id"):
             sdir = os.path.join(bdir, f"sink_id={s}")
             os.makedirs(sdir, exist_ok=True)
             fpath = os.path.join(sdir, f"part-{tag:016x}.parquet")
@@ -356,26 +362,51 @@ def _enrich_and_write_slice(batch: pa.Table, out_dir: str, side_ref, cfg,
         stats_rows.append({
             "bucket_id": b,
             "rows_out": tb.num_rows,
-            "in_partial_list": int(pc.sum(pc.cast(
-                tb.column("in_partial_list"), pa.int64())).as_py() or 0),
-            "in_full_list": int(pc.sum(pc.cast(
-                tb.column("in_full_list"), pa.int64())).as_py() or 0),
-            "is_repeat_visit": int(pc.sum(pc.cast(
-                tb.column("is_repeat_visit"), pa.int64())).as_py() or 0),
+            **{c: int(pc.sum(pc.cast(tb.column(c), pa.int64())).as_py() or 0)
+               for c in ("in_partial_list", "in_full_list", "is_repeat_visit")},
             "max_ts": max_ts.isoformat() if max_ts else None,
-            "per_sink": ",".join(f"{k}:{v}" for k, v in
-                                 sorted(per_sink.items())),
+            "per_sink": json.dumps(per_sink),
             "error_rows": 0,
         })
     return pa.Table.from_pylist(stats_rows + err_row, schema=_STATS_SCHEMA)
 
 
-def _fragment_rows(fx_dir: str, b: int) -> int:
-    """Current row count of a bucket's input fragment — a parquet
-    FOOTER read (no data IO), so growth detection over every completed
-    bucket costs metadata only."""
-    return pads.dataset(os.path.join(
-        fx_dir, "transcripts", f"part-{b:02d}.parquet")).count_rows()
+def _harvest_wave(fx_dir: str, out_dir: str, wave: list[int],
+                  cfg: PipelineConfig, run_ts: datetime, side_ref,
+                  floors: dict[int, int] | None) -> tuple[dict, int]:
+    """One wave through the write terminal: ({bucket: lineage record
+    with the stage records of its scan task and its slice tasks},
+    enrichment error rows no bucket could be attributed)."""
+    stages = _run_stages(fx_dir, wave, cfg, side_ref,
+                         _enrich_and_write_slice,
+                         {"out_dir": out_dir, "cfg": cfg, "run_ts": run_ts},
+                         floors)
+    refs = [r for _, outs in stages.values() for pair in outs for r in pair]
+    if refs:  # every slice has written or failed before any error raises
+        ray.wait(refs, num_returns=len(refs), fetch_local=False)
+    recs, unattributed = {}, 0
+    for b, (scan, outs) in stages.items():
+        rec = dict.fromkeys(_COUNTS, 0)
+        rec.update(per_sink_rows={}, max_ts=None)
+        # bucket_id=-1 rows are unattributed enrichment errors (M3)
+        for t in ray.get([t for t, _ in outs]):
+            for row in t.to_pylist():
+                if row["bucket_id"] == -1:
+                    unattributed += row["error_rows"]
+                    continue
+                for k in _COUNTS:
+                    rec[k] += row[k]
+                for k, v in json.loads(row["per_sink"]).items():
+                    rec["per_sink_rows"][k] = rec["per_sink_rows"].get(k, 0) + v
+                rec["max_ts"] = max(filter(None, (rec["max_ts"],
+                                                  row["max_ts"])),
+                                    default=None)
+        timing = np.sum(ray.get([t for _, t in outs]) or [[0.0, 0.0]], axis=0)
+        rec["stages"] = {"scan": scan, "slices": {
+            "tasks": len(outs), "wall_s": round(float(timing[0]), 4),
+            "cpu_s": round(float(timing[1]), 4)}}
+        recs[b] = rec
+    return recs, unattributed
 
 
 def _grown_buckets(fx_dir: str, latest: dict[int, dict]) -> dict[int, dict]:
@@ -390,8 +421,10 @@ def _grown_buckets(fx_dir: str, latest: dict[int, dict]) -> dict[int, dict]:
         old = rec.get("rows_in")
         if old is None or b < 0:
             continue
-        try:
-            if _fragment_rows(fx_dir, b) > old:
+        try:  # a parquet FOOTER read (no data IO): metadata only
+            if pads.dataset(os.path.join(fx_dir, "transcripts",
+                                         f"part-{b:02d}.parquet")
+                            ).count_rows() > old:
                 out[b] = rec
         except FileNotFoundError:
             continue  # removed bucket: reconcile's job, not delta's
@@ -462,10 +495,9 @@ def run_harvest(fx_dir: str, out_dir: str,
     # cfg.n_buckets feeds bucket_id = hash % n (sink layout, node_id,
     # lineage keys); it MUST match the corpus partitioning or output
     # dirs and manifest keys diverge from the input fragments
-    import json as _json
     try:
         with open(os.path.join(fx_dir, "meta.json")) as f:
-            corpus_n = _json.load(f).get("n_buckets")
+            corpus_n = json.load(f).get("n_buckets")
     except OSError:
         corpus_n = len(corpus_buckets)
     if corpus_n != cfg.n_buckets:
@@ -505,12 +537,12 @@ def run_harvest(fx_dir: str, out_dir: str,
     stopped_early = False
     kill_path = os.path.join(out_dir, "_KILL")
 
-    waves: list[tuple[list[int], dict[int, str] | None]] = [
+    waves: list[tuple[list[int], dict[int, int] | None]] = [
         (todo[i:i + wave_size], None)
         for i in range(0, len(todo), wave_size)]
     delta_order = sorted(delta)
     waves += [
-        (w, {b: delta[b].get("max_ts") for b in w})
+        (w, {b: _floor_us(delta[b].get("max_ts")) for b in w})
         for w in (delta_order[i:i + wave_size]
                   for i in range(0, len(delta_order), wave_size))]
     delta_rows_out = 0
@@ -522,18 +554,14 @@ def run_harvest(fx_dir: str, out_dir: str,
             stopped_early = True
             break
         t0 = time.time()
-        frag_rows = {b: _fragment_rows(fx_dir, b) for b in wave}
-        n_in = sum(frag_rows.values())
-        rows_in_total += n_in
         last_err: BaseException | None = None
         # 1 initial attempt + source_retry_attempts sleep-retries,
         # matching the reference's "sleep 60 s, retry <=5" semantics
         # (LogHarvesterTask.java:311-329)
         for attempt in range(1 + cfg.source_retry_attempts):
             try:
-                slice_rows = build_pipeline(
-                    fx_dir, cfg, wave, run_ts, side_ref, out_dir=out_dir,
-                    ts_floors=floors).take_all()
+                wave_recs, unattributed_errors = _harvest_wave(
+                    fx_dir, out_dir, wave, cfg, run_ts, side_ref, floors)
                 last_err = None
                 break
             except Exception as err:  # flaky source/transform: backoff
@@ -558,37 +586,11 @@ def run_harvest(fx_dir: str, out_dir: str,
         if last_err is not None:
             raise last_err  # completed waves persisted -> clean resume
         dt = time.time() - t0
-        # roll slice-level stats up to bucket-level lineage records;
-        # bucket_id=-1 rows are unattributed enrichment errors (M3)
-        unattributed_errors = sum(int(r["error_rows"]) for r in slice_rows
-                                  if int(r["bucket_id"]) == -1)
-        slice_rows = [r for r in slice_rows if int(r["bucket_id"]) != -1]
-        agg: dict[int, dict] = {}
-        for row in slice_rows:
-            b = int(row["bucket_id"])
-            rec = agg.setdefault(b, {
-                "rows_out": 0, "per_sink_rows": {}, "in_partial_list": 0,
-                "in_full_list": 0, "is_repeat_visit": 0, "max_ts": None,
-                "error_rows": 0})
-            rec["rows_out"] += int(row["rows_out"])
-            rec["error_rows"] += int(row["error_rows"])
-            for kv in (row["per_sink"] or "").split(","):
-                if kv:
-                    k, v = kv.split(":")
-                    rec["per_sink_rows"][k] = rec["per_sink_rows"].get(k, 0) + int(v)
-            rec["in_partial_list"] += int(row["in_partial_list"])
-            rec["in_full_list"] += int(row["in_full_list"])
-            rec["is_repeat_visit"] += int(row["is_repeat_visit"])
-            if row["max_ts"] and (rec["max_ts"] is None
-                                  or row["max_ts"] > rec["max_ts"]):
-                rec["max_ts"] = row["max_ts"]
-        for b in wave:  # buckets with zero surviving rows still complete
-            agg.setdefault(b, {
-                "rows_out": 0, "per_sink_rows": {}, "in_partial_list": 0,
-                "in_full_list": 0, "is_repeat_visit": 0, "max_ts": None,
-                "error_rows": 0})
-        for b in sorted(agg):
-            rec = agg[b]
+        # rows_in: the rows the scan task read (the fragment's size)
+        n_in = sum(r["stages"]["scan"]["rows_read"] for r in wave_recs.values())
+        rows_in_total += n_in
+        for b in sorted(wave_recs):
+            rec = wave_recs[b]
             if floors is not None:
                 # delta re-harvest: append the updated CUMULATIVE
                 # record (rollups read last-wins via latest_complete);
@@ -599,36 +601,26 @@ def run_harvest(fx_dir: str, out_dir: str,
                 ps = dict(old.get("per_sink_rows", {}))
                 for k, v in rec["per_sink_rows"].items():
                     ps[k] = ps.get(k, 0) + v
-                rec = {
-                    "rows_out": old["rows_out"] + rec["rows_out"],
-                    "per_sink_rows": ps,
-                    "in_partial_list": old.get("in_partial_list", 0)
-                    + rec["in_partial_list"],
-                    "in_full_list": old.get("in_full_list", 0)
-                    + rec["in_full_list"],
-                    "is_repeat_visit": old.get("is_repeat_visit", 0)
-                    + rec["is_repeat_visit"],
-                    "max_ts": max(filter(None, (old.get("max_ts"),
-                                                rec["max_ts"])),
-                                  default=None),
-                    "error_rows": old.get("error_rows", 0)
-                    + rec["error_rows"],
-                    "delta_runs": old.get("delta_runs", 0) + 1,
-                }
+                rec = {**rec, **{k: old.get(k, 0) + rec[k] for k in _COUNTS},
+                       "per_sink_rows": ps,
+                       "max_ts": max(filter(None, (old.get("max_ts"),
+                                                   rec["max_ts"])),
+                                     default=None),
+                       "delta_runs": old.get("delta_runs", 0) + 1}
             manifest.append({
                 "bucket": b, "complete": True,
                 "fragment": f"transcripts/part-{b:02d}.parquet",
                 "wave": wave, "wave_rows_in": n_in,
-                "rows_in": frag_rows[b],
+                "rows_in": rec["stages"]["scan"]["rows_read"],
                 "wave_duration_s": round(dt, 3),
                 "run_ts": run_ts.isoformat(),
                 **rec,
             })
         if unattributed_errors:
-            run_unattributed += int(unattributed_errors)
+            run_unattributed += unattributed_errors
             manifest.append({"bucket": -1, "complete": False,
                              "wave": wave, "run_ts": run_ts.isoformat(),
-                             "error_rows": int(unattributed_errors)})
+                             "error_rows": unattributed_errors})
 
     all_recs = manifest.records()
     # last-wins per bucket: delta re-harvests append updated CUMULATIVE
@@ -636,7 +628,7 @@ def run_harvest(fx_dir: str, out_dir: str,
     recs = list(manifest.latest_complete().values())
     total_out = sum(r["rows_out"] for r in recs)
     # error lineage: unattributed (-1) records are written ONLY after
-    # their wave committed (take_all succeeded, complete records
+    # their wave committed (every slice succeeded, complete records
     # appended in the same iteration), so those waves are never
     # reprocessed and every -1 record — this run's AND prior runs' —
     # represents permanently dropped rows that must stay visible in the

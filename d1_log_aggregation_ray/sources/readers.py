@@ -13,6 +13,7 @@ Reference analogs:
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,17 +27,41 @@ from ..config import BUCKET_TASK_CPUS
 
 
 #: read-task retry budget: a transient in-task failure (flaky FS/object
-#: store) re-executes ONLY the failed per-bucket read task — the wave
-#: keeps streaming (C5 at task granularity; the driver-side wave retry
-#: in pipelines/harvest.py remains the coarse backstop, reference
+#: store) re-reads ONLY the failed bucket file inside its task — the
+#: wave keeps streaming (C5 at task granularity; the driver-side wave
+#: retry in pipelines/harvest.py remains the coarse backstop, reference
 #: LogHarvesterTask.java:311-329)
 READ_TASK_RETRIES = 4
 
-#: test-only fault injection: when set to a file path before the
-#: Dataset is BUILT, each read task that finds the file consumes it
-#: once and raises OSError — used by pytest to prove task-level retry
-#: recovers without a wave restart.  Never set in production code.
+#: test-only fault injection: when set to a file path before a read is
+#: SUBMITTED, each read that finds the file consumes it once and raises
+#: OSError — used by pytest to prove the in-task retry recovers without
+#: a wave restart.  Never set in production code.
 _FAULT_ONCE_PATH: str | None = None
+
+
+def read_bucket_file(path: str, columns: list[str] | None = None,
+                     fault: str | None = None) -> pa.Table:
+    """Read one bucket file with a bounded IN-TASK retry: a transient
+    OSError re-reads this one file without restarting the wave.
+    Worker-death retries stay covered by Ray's default task
+    max_retries.  `fault` is the caller's snapshot of _FAULT_ONCE_PATH,
+    taken on the driver when the read was submitted."""
+    last: Exception | None = None
+    for attempt in range(1 + READ_TASK_RETRIES):
+        try:
+            if fault and os.path.exists(fault):
+                try:
+                    os.remove(fault)  # consume: one attempt fails
+                except OSError:
+                    pass
+                raise OSError("injected per-task read fault")
+            return pq.read_table(path, columns=columns)
+        except OSError as err:
+            last = err
+            if attempt < READ_TASK_RETRIES:
+                time.sleep(min(0.2 * (attempt + 1), 2.0))
+    raise last
 
 
 def read_transcripts(fx_dir: str, buckets: list[int] | None = None,
@@ -63,43 +88,18 @@ def read_transcripts(fx_dir: str, buckets: list[int] | None = None,
         # split across blocks — override_num_blocks is only a hint and a
         # silently split bucket would corrupt the window scan.  IO still
         # runs fully parallel across tasks.
-        import time as _time
-
-        import pyarrow.parquet as pq
         fault = _FAULT_ONCE_PATH  # closure-captured at graph build
 
         def load_file(batch: "pa.Table") -> "pa.Table":
             assert batch.num_rows == 1
-            path = batch.column("path")[0].as_py()
-            last: Exception | None = None
-            # bounded IN-TASK retry: a transient OSError re-reads this
-            # ONE file without restarting the wave.  Deliberately not
-            # Ray-level retry_exceptions — a differing ray_remote_arg
-            # breaks read->scan operator FUSION and pushes every raw
-            # bucket table through the object store (measured +0.3 s on
-            # the sf0.1 harvest).  Worker-death retries stay covered by
-            # Ray's default task max_retries.
-            for attempt in range(1 + READ_TASK_RETRIES):
-                try:
-                    if fault and os.path.exists(fault):
-                        try:
-                            os.remove(fault)  # consume: one attempt fails
-                        except OSError:
-                            pass
-                        raise OSError("injected per-task read fault")
-                    return pq.read_table(path, columns=columns)
-                except OSError as err:
-                    last = err
-                    if attempt < READ_TASK_RETRIES:
-                        _time.sleep(min(0.2 * (attempt + 1), 2.0))
-            raise last
+            return read_bucket_file(batch.column("path")[0].as_py(),
+                                    columns, fault)
 
         ds = ray.data.from_items([{"path": p} for p in paths],
                                  override_num_blocks=len(paths))
-        # BUCKET_TASK_CPUS matches the downstream per-bucket scan stage
-        # so load+scan FUSE into one task (raw bytes never hit the
-        # object store) while the scan stage stays unfused from the
-        # slice stage (see harvest.build_pipeline)
+        # BUCKET_TASK_CPUS matches the registry's downstream per-bucket
+        # stage, so load and that stage FUSE into one task (raw bytes
+        # never hit the object store)
         return ds.map_batches(load_file, batch_size=None,
                               batch_format="pyarrow",
                               num_cpus=BUCKET_TASK_CPUS)

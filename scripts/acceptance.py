@@ -106,8 +106,9 @@ def g_kill_resume():
     out = OUT + "_kill"
     shutil.rmtree(out, ignore_errors=True)
     # REAL kill: the child announces when the harvest proper starts
-    # (after its ~15 s cold Ray init), the parent SIGKILLs ~40% into
-    # the measured ~2-3 s wave loop
+    # (after its ~15 s cold Ray init), the parent SIGKILLs 1 s later;
+    # the harvest may finish first (tests/test_harvest_tasks.py kills
+    # on the first manifest record instead)
     p = subprocess.Popen([sys.executable, "-c", _KILL_CHILD, fx, out,
                           REPO],
                          stdout=subprocess.PIPE,

@@ -401,8 +401,8 @@ def test_enrich_write_slice_degradation_ladder(fx_dir, tmp_path, monkeypatch):
     cfg = dataclasses.replace(DEFAULT_CONFIG, batch_size=32)
     side_ref = ray.put(load_side_tables(fx_dir))
     t = pq.read_table(os.path.join(fx_dir, "transcripts", "part-00.parquet"))
-    scanned = H._encode_hop(bucket_window_scan(
-        clean_project(t, cfg, defer_derived=True), cfg, check_bucket=True))
+    scanned = bucket_window_scan(
+        clean_project(t, cfg, defer_derived=True), cfg, check_bucket=True)
     poison_convs = set(scanned.column("conv_id").to_pylist()[:2])
 
     class PoisonEnricher(Enricher):

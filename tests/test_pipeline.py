@@ -118,9 +118,8 @@ def test_slice_fanout_splits_hot_buckets(fx_dir, tmp_path):
     """Scale guard: when a bucket's rows exceed write_slice_rows, the
     terminal stage must fan out at SLICE granularity — multiple
     content-tagged part files per (bucket, sink) — not run one
-    whole-bucket task (the round-3 hot-bucket serialization fix:
-    repartition(target_num_rows_per_block=write_slice_rows) after the
-    window scan).  Output content must be unaffected by the split."""
+    whole-bucket task (the round-3 hot-bucket serialization fix: each
+    scan task yields write_slice_rows slices, one slice task each).  Output content must be unaffected by the split."""
     import dataclasses
     import glob
     import json
@@ -152,3 +151,16 @@ def test_slice_fanout_splits_hot_buckets(fx_dir, tmp_path):
     ts = t_split.select(cols).sort_by([(k, "ascending") for k in key])
     tw = t_whole.select(cols).sort_by([(k, "ascending") for k in key])
     assert ts.equals(tw)
+    # and each bucket's lineage record equals the whole-bucket run's
+    from d1_log_aggregation_ray.state.manifest import Manifest
+    split_recs = Manifest(os.path.join(out, "_manifest.jsonl")).latest_complete()
+    whole_recs = Manifest(os.path.join(out2, "_manifest.jsonl")).latest_complete()
+    assert sorted(split_recs) == sorted(whole_recs) == list(range(32))
+    for b, rec in split_recs.items():
+        for k in ("rows_out", "per_sink_rows", "is_repeat_visit", "max_ts"):
+            assert rec[k] == whole_recs[b][k], (b, k)
+        # one slice task per 64 rows, each writing its bucket's one sink
+        assert rec["stages"]["slices"]["tasks"] == -(-rec["rows_out"] // 64) \
+            == per_bucket_files.get(f"bucket_id={b}", 0)
+        assert whole_recs[b]["stages"]["slices"]["tasks"] == (
+            1 if rec["rows_out"] else 0)

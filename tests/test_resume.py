@@ -7,7 +7,6 @@ import shutil
 
 import pyarrow.dataset as pads
 
-from d1_log_aggregation_ray.config import BUCKET_TASK_CPUS
 from d1_log_aggregation_ray.pipelines.harvest import run_harvest
 
 
@@ -58,7 +57,7 @@ def test_source_retry_recovers_flaky_wave(fx_dir, tmp_path, monkeypatch):
     311-329)."""
     import os
     import dataclasses
-    import pyarrow as pa
+    import ray
     from d1_log_aggregation_ray.config import DEFAULT_CONFIG
     from d1_log_aggregation_ray.pipelines import harvest as hmod
 
@@ -67,24 +66,20 @@ def test_source_retry_recovers_flaky_wave(fx_dir, tmp_path, monkeypatch):
 
     sentinel = str(tmp_path / "flake_once")
     open(sentinel, "w").close()
-    real_read = hmod.read_transcripts
+    real_scan = hmod.scan_bucket
 
-    def flaky_read(*args, **kwargs):
-        ds = real_read(*args, **kwargs)
+    # the per-bucket scan task, failing once past the in-task read retry
+    @ray.remote(num_cpus=1, num_returns="streaming")
+    def flaky_scan(*args):
+        if os.path.exists(sentinel):
+            try:
+                os.remove(sentinel)  # consume: only the 1st attempt fails
+            except OSError:
+                pass
+            raise OSError("injected flaky source read")
+        yield from real_scan(*args)
 
-        def maybe_fail(batch: pa.Table) -> pa.Table:
-            if os.path.exists(sentinel):
-                try:
-                    os.remove(sentinel)  # consume: only the 1st attempt fails
-                except OSError:
-                    pass
-                raise OSError("injected flaky source read")
-            return batch
-
-        return ds.map_batches(maybe_fail, batch_format="pyarrow",
-                              batch_size=None, num_cpus=BUCKET_TASK_CPUS)
-
-    monkeypatch.setattr(hmod, "read_transcripts", flaky_read)
+    monkeypatch.setattr(hmod, "_scan_bucket", flaky_scan)
     cfg = dataclasses.replace(DEFAULT_CONFIG, source_retry_backoff_s=0.05)
     s = run_harvest(fx_dir, out, cfg=cfg, resume=False)
     assert not os.path.exists(sentinel)  # the failure really fired
@@ -105,22 +100,22 @@ def test_source_retry_exhaustion_raises_with_watermark(fx_dir, tmp_path,
 
     out = str(tmp_path / "out")
     calls = {"n": 0}
-    real_read = hmod.read_transcripts
+    real_scan_wave = hmod._scan_wave  # called once per wave attempt
 
-    def dying_read(*args, **kwargs):
+    def dying_scan_wave(*args, **kwargs):
         calls["n"] += 1
         if calls["n"] > 1:  # first wave fine, second wave always dies
             raise OSError("source down")
-        return real_read(*args, **kwargs)
+        return real_scan_wave(*args, **kwargs)
 
-    monkeypatch.setattr(hmod, "read_transcripts", dying_read)
+    monkeypatch.setattr(hmod, "_scan_wave", dying_scan_wave)
     cfg = dataclasses.replace(DEFAULT_CONFIG, source_retry_attempts=3,
                               source_retry_backoff_s=0.01)
     with pytest.raises(OSError):
         run_harvest(fx_dir, out, cfg=cfg, resume=False, wave_size=8)
     # one good wave + (1 initial + 3 sleep-retries) on the dead wave
     assert calls["n"] == 1 + 1 + 3
-    monkeypatch.setattr(hmod, "read_transcripts", real_read)
+    monkeypatch.setattr(hmod, "_scan_wave", real_scan_wave)
     s = run_harvest(fx_dir, out, resume=True)
     assert s["resumed_skipped"] == list(range(8))  # first wave persisted
     ref = run_harvest(fx_dir, str(tmp_path / "ref"), resume=False)
