@@ -21,9 +21,12 @@ The flagship runs on raw Ray tasks: one streaming scan task per
 bucket yields zero-copy Arrow slices, one task per slice calls a
 worker-cached Enricher, there is no exchange (the input is bucketed by
 conv hash), and writes are partition-atomic with a resumable
-checkpoint manifest.  Registry queries are Ray Data.  Keyed queries group
-through `functions.parts.exchange`, a raw M x P Ray-task hash exchange
-that runs eagerly and never emits an empty partition.
+checkpoint manifest.  Registry queries return Ray Data Datasets, but
+their per-bucket stages are raw Ray tasks too, one per file: the
+bucket scans (`sources.readers.scan_buckets`), the JSONL export and
+the sink compaction.  Keyed queries group through
+`functions.parts.exchange`, a raw M x P Ray-task hash exchange that
+runs eagerly and never emits an empty partition.
 """
 
 __version__ = "0.1.0"

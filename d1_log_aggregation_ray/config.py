@@ -25,15 +25,6 @@ V1_ROLES = ("user", "assistant", "tool", "system")
 # = 1900-01-01; dateAggregated = now at :355).
 DATE_UPDATED_SENTINEL = "1900-01-01T00:00:00"
 
-# CPU request of the registry's one-task-per-bucket (or per-file) Ray
-# Data stages: the bucket scan behind the exchange queries, q_watermark,
-# export and compact.  Ray fuses adjacent map operators only when their
-# remote args match, so a request other than the default 1 keeps a
-# whole-bucket task from absorbing a per-batch stage after it.  Below 1,
-# it fits any pool: a request above 1 could never run on a 1-CPU
-# cluster.  (The harvest runs raw tasks and does not use it.)
-BUCKET_TASK_CPUS = 0.99
-
 
 @dataclass(frozen=True)
 class PipelineConfig:

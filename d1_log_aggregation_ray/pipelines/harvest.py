@@ -71,7 +71,7 @@ def build_pipeline(fx_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
     if side_ref is None:
         side_ref = ray.put(load_side_tables(fx_dir))
     if buckets is None:
-        buckets = _corpus_buckets(fx_dir)
+        buckets = list(_corpus_buckets(fx_dir))
     stages = _run_stages(fx_dir, buckets, cfg, side_ref, _enrich_rows,
                          {"cfg": cfg, "run_ts": run_ts})
     return ray.data.from_arrow_refs(
@@ -120,8 +120,7 @@ def _scan_wave(fx_dir: str, buckets: list[int], cfg: PipelineConfig,
                floors: dict[int, int] | None = None) -> dict:
     """Submit one scan task per bucket, largest file first, and return
     {scan generator: bucket}.  Called once per wave attempt."""
-    paths = {b: os.path.join(fx_dir, "transcripts", f"part-{b:02d}.parquet")
-             for b in buckets}
+    paths = readers.bucket_paths(fx_dir)
     fault = readers._FAULT_ONCE_PATH  # read at submit time
     order = sorted(buckets, key=lambda b: -os.path.getsize(paths[b]))
     return {_scan_bucket.remote(paths[b], cfg,
@@ -194,18 +193,12 @@ def _floor_us(iso: str | None) -> int:
 _WORKER_ENRICHERS: dict = {}
 
 
-def _corpus_buckets(fx_dir: str) -> list[int]:
-    """Bucket ids present in the CORPUS (from its part files) — never
-    derived from PipelineConfig.n_buckets, which could silently drop
-    (smaller) or fail on (larger) the actual partition count."""
-    import glob
-    import re as _re
-    out = []
-    for p in sorted(glob.glob(os.path.join(fx_dir, "transcripts",
-                                           "part-*.parquet"))):
-        m = _re.search(r"part-(\d+)\.parquet$", p)
-        if m:
-            out.append(int(m.group(1)))
+def _corpus_buckets(fx_dir: str) -> dict[int, str]:
+    """{bucket: path} of the buckets present in the CORPUS (from its
+    part files) — never derived from PipelineConfig.n_buckets, which
+    could silently drop (smaller) or fail on (larger) the actual
+    partition count."""
+    out = readers.bucket_paths(fx_dir)
     if not out:
         raise FileNotFoundError(f"no transcript part files under {fx_dir}")
     return out
@@ -416,18 +409,16 @@ def _grown_buckets(fx_dir: str, latest: dict[int, dict]) -> dict[int, dict]:
     Records that predate rows_in tracking are never delta-eligible
     (full reprocessing would double-write; the operator can drop the
     manifest line to force one)."""
+    paths = readers.bucket_paths(fx_dir)
     out = {}
     for b, rec in latest.items():
         old = rec.get("rows_in")
-        if old is None or b < 0:
+        # a removed bucket is reconcile's job, not delta's
+        if old is None or b not in paths:
             continue
-        try:  # a parquet FOOTER read (no data IO): metadata only
-            if pads.dataset(os.path.join(fx_dir, "transcripts",
-                                         f"part-{b:02d}.parquet")
-                            ).count_rows() > old:
-                out[b] = rec
-        except FileNotFoundError:
-            continue  # removed bucket: reconcile's job, not delta's
+        # a parquet FOOTER read (no data IO): metadata only
+        if pads.dataset(paths[b]).count_rows() > old:
+            out[b] = rec
     return out
 
 
@@ -609,7 +600,7 @@ def run_harvest(fx_dir: str, out_dir: str,
                        "delta_runs": old.get("delta_runs", 0) + 1}
             manifest.append({
                 "bucket": b, "complete": True,
-                "fragment": f"transcripts/part-{b:02d}.parquet",
+                "fragment": os.path.relpath(corpus_buckets[b], fx_dir),
                 "wave": wave, "wave_rows_in": n_in,
                 "rows_in": rec["stages"]["scan"]["rows_read"],
                 "wave_duration_s": round(dt, 3),

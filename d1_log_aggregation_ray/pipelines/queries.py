@@ -22,10 +22,11 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from ..config import DEFAULT_CONFIG, BUCKET_TASK_CPUS
+from ..config import DEFAULT_CONFIG
 from ..functions.parts import arrow_block_refs, collect, exchange, top_n
 from ..gen.fixtures import generate_fixtures
-from ..sources.readers import read_transcripts, load_side_tables
+from ..sources.readers import (read_transcripts, load_side_tables,
+                               scan_buckets)
 from ..stages.aggregate import hash_partition_aggregate
 from ..stages.project import clean_project
 from ..stages.parse import regex_flags
@@ -180,12 +181,8 @@ def q_watermark(sf_dir: str):
     """A1/A2: per-conv max-ts watermark + throughput count.
 
     Shuffle-free: convs are bucket-local, so the groupby runs as one
-    vectorized arrow group_by per bucket block (a partial aggregate
+    vectorized arrow group_by per bucket file (a partial aggregate
     that IS the final aggregate under the partitioning invariant)."""
-    fx = _fx(sf_dir)
-    ds = read_transcripts(fx, columns=["conv_id", "ts"],
-                          one_block_per_bucket=True)
-
     def per_bucket(batch: pa.Table) -> pa.Table:
         conv = batch.column("conv_id")
         valid = pc.fill_null(
@@ -198,8 +195,8 @@ def q_watermark(sf_dir: str):
         agg = agg.rename_columns([name_map[c] for c in agg.column_names])
         return agg.select(["conv_id", "n_turns", "max_ts"])
 
-    return ds.map_batches(per_bucket, batch_size=None, batch_format="pyarrow",
-                          zero_copy_batch=True)
+    return ray.data.from_arrow_refs(
+        scan_buckets(_fx(sf_dir), per_bucket, columns=["conv_id", "ts"]))
 
 
 def q_watermark_salted(sf_dir: str):
@@ -1629,10 +1626,7 @@ def q_event_seq(sf_dir: str):
 def _bucket_scan(sf_dir: str, scan_fn) -> ray.data.Dataset:
     """Shuffle-free whole-bucket scan (the repeat_visit shape): one
     task per conv-hash bucket, vectorized per-conv segments inside."""
-    fx = _fx(sf_dir)
-    return read_transcripts(fx, one_block_per_bucket=True).map_batches(
-        scan_fn, batch_size=None, batch_format="pyarrow",
-        zero_copy_batch=True, num_cpus=BUCKET_TASK_CPUS)
+    return ray.data.from_arrow_refs(scan_buckets(_fx(sf_dir), scan_fn))
 
 
 def q_sft_pairs(sf_dir: str):

@@ -6,8 +6,10 @@ Why it exists at 100 TB: slice-level write parallelism (the skew
 answer in pipelines/harvest._enrich_and_write_slice) deliberately fans
 hot buckets into many small files; after enough harvest cycles a leaf
 accumulates slice files and read amplification grows.  Compaction is
-the standard maintenance pass: one Ray task per leaf, read+merge+write
-entirely inside the task, content preserved row-for-row.
+the standard maintenance pass: one raw Ray task per leaf,
+read+merge+write entirely inside the task, content preserved
+row-for-row.  The pass writes when called; only its small manifest
+comes back.
 
 Crash safety (no coordination, resumable, two-phase marker):
   1. write `_compacting.json` (tmp + atomic rename; `_`-prefixed so
@@ -35,8 +37,6 @@ import pyarrow.parquet as pq
 
 import ray
 import ray.data
-
-from ..config import BUCKET_TASK_CPUS
 
 _MANIFEST_SCHEMA = pa.schema([
     ("leaf_dir", pa.string()), ("n_in_files", pa.int64()),
@@ -91,22 +91,16 @@ def _compact_leaf(leaf: str) -> dict:
             "n_rows": int(t.num_rows), "action": "merged"}
 
 
+_compact_task = ray.remote(num_cpus=1)(_compact_leaf)
+
+
 def compact_output(out_dir: str) -> ray.data.Dataset:
-    """Compact every multi-file leaf of a harvest output tree.
-    Returns the compaction manifest (one row per leaf); consume it to
-    drive the pass."""
+    """Compact every multi-file leaf of a harvest output tree, one task
+    per leaf.  Writes when called; returns the compaction manifest
+    (one row per leaf)."""
     leaves = sorted({os.path.dirname(p) for p in glob.glob(
         os.path.join(out_dir, "bucket_id=*", "sink_id=*",
                      "*.parquet"))})
-    if not leaves:
-        return ray.data.from_arrow(_MANIFEST_SCHEMA.empty_table())
-
-    def run(batch: pa.Table) -> pa.Table:
-        rows = [_compact_leaf(d.as_py()) for d in batch.column("leaf")]
-        return pa.Table.from_pylist(rows, schema=_MANIFEST_SCHEMA)
-
-    return ray.data.from_items(
-        [{"leaf": d} for d in leaves],
-        override_num_blocks=len(leaves)).map_batches(
-        run, batch_size=None, batch_format="pyarrow",
-        num_cpus=BUCKET_TASK_CPUS)
+    return ray.data.from_arrow(pa.Table.from_pylist(
+        ray.get([_compact_task.remote(d) for d in leaves]),
+        schema=_MANIFEST_SCHEMA))

@@ -5,11 +5,12 @@ distributed one-task-per-bucket like the harvest sink
 (pipelines/harvest.py S6: content-complete shard + atomic rename;
 reference analog LogHarvesterTask.java:446-480's batched sink submit).
 
-Scale shape: each bucket file becomes exactly one export task (the
+Scale shape: each bucket file becomes exactly one raw Ray task (the
 whole-bucket contract — convs never span buckets), the parquet read
 and the JSONL write both happen inside the task (no object-store
 transit of the payload), and a re-run skips shards whose output file
-already exists, so a killed export resumes where it stopped.  JSON
+already exists, so a killed export resumes where it stopped.  The
+export writes when called; only its small manifest comes back.  JSON
 serialization is inherently per-item; everything before it (validity
 filter, sort, segmentation) is Arrow/numpy.
 
@@ -21,7 +22,6 @@ Rows with null/empty conv_id are excluded (the M2 validity gate).
 
 from __future__ import annotations
 
-import glob
 import json
 import os
 
@@ -33,7 +33,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from ..config import BUCKET_TASK_CPUS
+from .readers import bucket_paths
 
 _MANIFEST_SCHEMA = pa.schema([
     ("bucket_file", pa.string()), ("out_path", pa.string()),
@@ -81,28 +81,17 @@ def _export_one(path: str, out_dir: str) -> dict:
             "skipped": False}
 
 
-def export_conversations_jsonl(fx_dir: str, out_dir: str,
-                               buckets: list[int] | None = None
-                               ) -> ray.data.Dataset:
+_export_task = ray.remote(num_cpus=1)(_export_one)
+
+
+def export_conversations_jsonl(fx_dir: str,
+                               out_dir: str) -> ray.data.Dataset:
     """Export the transcript corpus as conversation-grouped JSONL, one
-    shard per bucket.  Returns the export manifest (one row per
-    bucket: out path, conv/turn counts, resume-skip flag); consume it
-    to drive the export."""
+    shard per bucket, one task per shard.  Writes when called; returns
+    the export manifest (one row per bucket: out path, conv/turn
+    counts, resume-skip flag)."""
     os.makedirs(out_dir, exist_ok=True)
-    tdir = os.path.join(fx_dir, "transcripts")
-    if buckets is None:
-        paths = sorted(glob.glob(os.path.join(tdir, "part-*.parquet")))
-    else:
-        paths = [os.path.join(tdir, f"part-{b:02d}.parquet")
-                 for b in buckets]
-
-    def run(batch: pa.Table) -> pa.Table:
-        rows = [_export_one(p.as_py(), out_dir)
-                for p in batch.column("path")]
-        return pa.Table.from_pylist(rows, schema=_MANIFEST_SCHEMA)
-
-    return ray.data.from_items(
-        [{"path": p} for p in paths],
-        override_num_blocks=len(paths)).map_batches(
-        run, batch_size=None, batch_format="pyarrow",
-        num_cpus=BUCKET_TASK_CPUS)
+    refs = [_export_task.remote(p, out_dir)
+            for p in bucket_paths(fx_dir).values()]
+    return ray.data.from_arrow(pa.Table.from_pylist(
+        ray.get(refs), schema=_MANIFEST_SCHEMA))

@@ -1,18 +1,23 @@
-"""Sources: transcript reader + side-input loaders.
+"""Sources: transcript readers + side-input loaders.
 
 Reference analogs:
   - S1/S2 paginated node log readers (v1/v2 NodeCommunication.java:44-160)
-    -> `ray.data.read_parquet`; Ray's fragment-based splitting replaces
-    manual REST paging and the S3 date-bisection skew splitter.
+    -> one bucket file per task: `scan_buckets` here, the harvest's
+    scan task in pipelines/harvest.py.  A conv-hash bucket file is the
+    node analog, read whole with an in-task retry.  `read_transcripts`
+    (`ray.data.read_parquet`) serves the queries that need no
+    whole-bucket blocks.
   - S5 robot/IP/GeoIP side-input loaders (LogHarvesterTask.java:237-294)
     -> driver-side pyarrow reads, packed into a small `SideTables` struct
-    that is `ray.put` once and shared by every enrichment actor
-    (broadcast, never re-shipped per batch).
+    that is `ray.put` once and shared by every enrich task (broadcast,
+    never re-shipped per slice).
 """
 
 from __future__ import annotations
 
+import glob
 import os
+import re
 import time
 from dataclasses import dataclass
 
@@ -23,12 +28,10 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from ..config import BUCKET_TASK_CPUS
 
-
-#: read-task retry budget: a transient in-task failure (flaky FS/object
-#: store) re-reads ONLY the failed bucket file inside its task — the
-#: wave keeps streaming (C5 at task granularity; the driver-side wave
+#: read retry budget of a bucket-file task: a transient OSError (flaky
+#: FS) re-reads ONLY that file inside its task, and the other tasks
+#: run on (C5 at task granularity; the harvest's driver-side wave
 #: retry in pipelines/harvest.py remains the coarse backstop, reference
 #: LogHarvesterTask.java:311-329)
 READ_TASK_RETRIES = 4
@@ -64,46 +67,44 @@ def read_bucket_file(path: str, columns: list[str] | None = None,
     raise last
 
 
-def read_transcripts(fx_dir: str, buckets: list[int] | None = None,
-                     columns: list[str] | None = None,
-                     one_block_per_bucket: bool = False) -> ray.data.Dataset:
-    """Read the transcript corpus (optionally a subset of buckets).
+def bucket_paths(fx_dir: str) -> dict[int, str]:
+    """{bucket: path} of every bucket file of the corpus, in bucket
+    order: the one reader of the generator's
+    `transcripts/part-NN.parquet` layout."""
+    out = {}
+    for p in sorted(glob.glob(os.path.join(fx_dir, "transcripts",
+                                           "part-*.parquet"))):
+        m = re.search(r"part-(\d+)\.parquet$", p)
+        if m:
+            out[int(m.group(1))] = p
+    return out
 
-    Buckets are the independent harvest/resume units (the "node" analog);
-    a bucket == one parquet file written by the generator, and convs
-    never span buckets.  With one_block_per_bucket=True, each bucket
-    file becomes exactly one block, so a downstream
-    map_batches(batch_size=None) sees whole buckets — the partitioning
-    contract the shuffle-free window scan relies on.
-    """
-    tdir = os.path.join(fx_dir, "transcripts")
-    if buckets is None:
-        import glob
-        paths = sorted(glob.glob(os.path.join(tdir, "part-*.parquet")))
-    else:
-        paths = [os.path.join(tdir, f"part-{b:02d}.parquet") for b in buckets]
-    if one_block_per_bucket:
-        # CONTRACTUAL whole-file blocks: the parquet read happens inside
-        # the map task (one task per file), so a bucket can never be
-        # split across blocks — override_num_blocks is only a hint and a
-        # silently split bucket would corrupt the window scan.  IO still
-        # runs fully parallel across tasks.
-        fault = _FAULT_ONCE_PATH  # closure-captured at graph build
 
-        def load_file(batch: "pa.Table") -> "pa.Table":
-            assert batch.num_rows == 1
-            return read_bucket_file(batch.column("path")[0].as_py(),
-                                    columns, fault)
+def read_transcripts(fx_dir: str,
+                     columns: list[str] | None = None) -> ray.data.Dataset:
+    """Read the whole transcript corpus as a Dataset (Ray splits the
+    files into blocks as it likes; for whole-bucket blocks use
+    scan_buckets)."""
+    return ray.data.read_parquet(list(bucket_paths(fx_dir).values()),
+                                 columns=columns)
 
-        ds = ray.data.from_items([{"path": p} for p in paths],
-                                 override_num_blocks=len(paths))
-        # BUCKET_TASK_CPUS matches the registry's downstream per-bucket
-        # stage, so load and that stage FUSE into one task (raw bytes
-        # never hit the object store)
-        return ds.map_batches(load_file, batch_size=None,
-                              batch_format="pyarrow",
-                              num_cpus=BUCKET_TASK_CPUS)
-    return ray.data.read_parquet(paths, columns=columns)
+
+@ray.remote(num_cpus=1)
+def _scan_file(path: str, columns: list[str] | None, fault: str | None,
+               fn) -> pa.Table:
+    return fn(read_bucket_file(path, columns, fault))
+
+
+def scan_buckets(fx_dir: str, fn,
+                 columns: list[str] | None = None) -> list[ray.ObjectRef]:
+    """Run `fn` over each WHOLE bucket file (convs never span buckets,
+    so a per-conv scan needs no shuffle): one task per file, submitted
+    largest first.  Returns the tasks' table refs in bucket order."""
+    paths = bucket_paths(fx_dir)
+    fault = _FAULT_ONCE_PATH  # read at submit time
+    refs = {b: _scan_file.remote(paths[b], columns, fault, fn)
+            for b in sorted(paths, key=lambda b: -os.path.getsize(paths[b]))}
+    return [refs[b] for b in paths]
 
 
 @dataclass

@@ -98,8 +98,8 @@ def bucket_window_scan(batch: pa.Table,
 
     if check_bucket:
         # GUARD the whole-bucket contract: every conv in this block
-        # must hash to ONE bucket.  If the reader ever delivered a
-        # split or merged bucket (fusion/block-size rule changes), the
+        # must hash to ONE bucket.  If a caller ever handed it a split
+        # or merged bucket (a block cut by size, not by file), the
         # scan would silently reset window state mid-conv — fail loudly.
         from ..functions.hashing import md5_lower64
         uniq_str = conv.dictionary_encode().dictionary

@@ -1,9 +1,12 @@
 """The harvest runs on raw Ray tasks (one streaming scan task per
 bucket, one enrich+write task per slice): no Ray Data operator runs,
 a bucket whose rows are all invalid still commits, and a SIGKILL
-landed after the first commit resumes to the clean run's output."""
+landed after the first commit resumes to the clean run's output.  The
+registry's per-bucket stages (bucket scans, export, compact) are raw
+tasks too, and a zero-row bucket file passes through every one."""
 
 import dataclasses
+import glob
 import json
 import os
 import shutil
@@ -18,9 +21,15 @@ import pyarrow.parquet as pq
 import pytest
 
 from d1_log_aggregation_ray.config import DEFAULT_CONFIG
+from d1_log_aggregation_ray.pipelines import queries
 from d1_log_aggregation_ray.pipelines.harvest import run_harvest
 from d1_log_aggregation_ray.pipelines.oracle import oracle_enriched
+from d1_log_aggregation_ray.sources.compact import compact_output
+from d1_log_aggregation_ray.sources.export import export_conversations_jsonl
 from d1_log_aggregation_ray.state.manifest import Manifest
+from test_compact import _read_sorted
+from test_export import _valid_sorted_corpus
+from test_oracle_parity import SF_DIR, _check_query_vs_oracle
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SF01_DIR = "/root/testdata/sf0.01"
@@ -55,6 +64,93 @@ def test_harvest_runs_no_ray_data_operator(fx_dir, tmp_path, monkeypatch):
         assert s["rows_out_total"] == json.load(f)["n_valid"] == len(want)
     for col in FLAGS:
         assert s[col] == int(want[col].sum()), col
+
+
+def _exported_rows(man) -> list[tuple]:
+    rows = []
+    for r in man:
+        with open(r["out_path"]) as f:
+            for line in f:
+                c = json.loads(line)
+                rows += [(c["conv_id"], t["turn_idx"], t["role"], t["text"],
+                          t["tool"], t["ts_us"]) for t in c["turns"]]
+    return sorted(rows, key=lambda r: (r[0], r[1]))
+
+
+def test_registry_bucket_stages_run_no_from_items(fx_dir, tmp_path,
+                                                  monkeypatch):
+    """With ray.data.from_items refused, the bucket-scan queries and
+    q_watermark still match their DuckDB oracles, the export writes
+    every valid turn once, and compaction merges every multi-file
+    leaf without changing a row."""
+    import duckdb
+    import ray.data
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-bucket stage ran ray.data.from_items")
+
+    monkeypatch.setattr(ray.data, "from_items", refuse)
+    con = duckdb.connect()
+    for name in ("conv_dedup", "tool_transitions", "repeat_visit",
+                 "watermark", "fork_dedup"):
+        _check_query_vs_oracle(name, SF_DIR, con)
+
+    man = export_conversations_jsonl(fx_dir, str(tmp_path / "export")
+                                     ).take_all()
+    assert len(man) == 32 and not any(r["skipped"] for r in man)
+    want = _valid_sorted_corpus(fx_dir)
+    assert sum(r["n_turns"] for r in man) == want.num_rows
+    ts = want.column("ts").cast(pa.int64())
+    assert _exported_rows(man) == list(zip(
+        *(want.column(c).to_pylist()
+          for c in ("conv_id", "turn_idx", "role", "text", "tool")),
+        ts.to_pylist()))
+
+    # small slices: most leaves hold several files
+    out = str(tmp_path / "harvest")
+    run_harvest(fx_dir, out, resume=False, cfg=dataclasses.replace(
+        DEFAULT_CONFIG, write_slice_rows=64))
+    files = {d: len(glob.glob(os.path.join(d, "*.parquet")))
+             for d in {os.path.dirname(p) for p in glob.glob(os.path.join(
+                 out, "bucket_id=*", "sink_id=*", "*.parquet"))}}
+    assert max(files.values()) > 1
+    before = _read_sorted(out)
+    man = compact_output(out).take_all()
+    assert {r["leaf_dir"]: (r["n_in_files"], r["action"]) for r in man} == {
+        d: (n, "merged" if n > 1 else "skip") for d, n in files.items()}
+    assert all(len(glob.glob(os.path.join(d, "*.parquet"))) == 1
+               for d in files)
+    assert _read_sorted(out).equals(before)
+
+
+def test_zero_row_bucket_file(fx_dir, tmp_path, monkeypatch):
+    """A bucket file with no rows at all reaches every per-bucket
+    kernel as an empty table: the queries still match their oracles
+    over the same corpus, the export writes an empty shard and the
+    harvest commits the bucket with rows_out 0."""
+    import duckdb
+
+    corpus = str(tmp_path / "corpus")
+    shutil.copytree(fx_dir, corpus)
+    part = os.path.join(corpus, "transcripts", "part-03.parquet")
+    pq.write_table(pq.read_schema(part).empty_table(), part)
+    monkeypatch.setattr(queries, "_fx", lambda sf_dir: corpus)
+    con = duckdb.connect()
+    for name in ("conv_dedup", "sft_pairs", "watermark"):
+        _check_query_vs_oracle(name, SF_DIR, con)
+
+    man = export_conversations_jsonl(corpus, str(tmp_path / "export")
+                                     ).take_all()
+    shard = next(r for r in man if r["bucket_file"] == part)
+    assert (shard["n_convs"], shard["n_turns"]) == (0, 0)
+    assert os.path.getsize(shard["out_path"]) == 0
+
+    out = str(tmp_path / "out")
+    s = run_harvest(corpus, out, resume=False)
+    rec = Manifest(os.path.join(out, "_manifest.jsonl")).latest_complete()[3]
+    assert rec["rows_out"] == 0 and rec["stages"]["scan"]["rows_read"] == 0
+    assert s["buckets"] == 32
+    assert s["rows_out_total"] == len(oracle_enriched(corpus)) > 0
 
 
 def test_all_invalid_bucket_commits_zero_rows(fx_dir, tmp_path):

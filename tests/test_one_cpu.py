@@ -1,8 +1,7 @@
 """A 1-CPU cluster runs the harvest, the repeat-visit query, the
 export, the tar-shard export, the compaction and an exchange query to
-completion.  The per-bucket stages request config.BUCKET_TASK_CPUS
-(< 1 CPU) so that Ray does not fuse them with the per-slice stage; a
-request above 1 CPU could never be scheduled on such a pool, and the
+completion.  Every per-bucket or per-file task requests exactly 1 CPU:
+a request above 1 CPU could never be scheduled on such a pool, and the
 entry point would hang.  All six run in one subprocess under one timeout."""
 
 import json
