@@ -37,7 +37,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
 def oracle_sql() -> dict[str, str]:
     """SQL oracles: EVERY query is checked (one oracle per registry
-    entry; 146/146 at round-4 close) —
+    entry; 154/154) —
     pure SQL for the relational/text family, ANALYTIC arithmetic SQL
     for the real-stdlib media decode/audit/dedup (geometry and
     corruption rules are planted, so the expected output is stated

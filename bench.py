@@ -77,7 +77,7 @@ def run_bench(sf_dir: str, num_cpus: int, headline_only: bool = False,
         loads.setdefault("harvest", []).append(
             round(os.getloadavg()[0], 2))
         t0 = time.time()
-        summary = run_harvest(fx, out_dir, wave_size=64, resume=False)
+        summary = run_harvest(fx, out_dir, resume=False)
         harvest_samples.append(round(time.time() - t0, 3))
         rows = summary["rows_out_total"]
     harvest_sec = min(harvest_samples) if harvest_samples else 0.0

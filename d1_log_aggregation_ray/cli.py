@@ -38,8 +38,7 @@ def cmd_harvest(args) -> int:
     from .pipelines.harvest import run_harvest
     _ensure_ray()
     fx = generate_fixtures(args.sf_dir)
-    summary = run_harvest(fx, args.out, resume=not args.no_resume,
-                          wave_size=args.wave_size)
+    summary = run_harvest(fx, args.out, resume=not args.no_resume)
     print(json.dumps(summary))
     return 0
 
@@ -102,7 +101,6 @@ def main(argv=None) -> int:
     h = sub.add_parser("harvest")
     h.add_argument("--sf-dir", default="/root/testdata/sf0.01")
     h.add_argument("--out", required=True)
-    h.add_argument("--wave-size", type=int, default=8)
     h.add_argument("--no-resume", action="store_true")
     h.set_defaults(fn=cmd_harvest)
 

@@ -45,10 +45,11 @@ class PipelineConfig:
     # straggler task)
     write_slice_rows: int = 65536
     v1_roles: tuple[str, ...] = field(default=V1_ROLES)
-    # C5 source-side harvest retry: a failed wave (read or transform
-    # error) is retried with backoff before the run aborts with the
-    # manifest/watermark persisted (reference: 60 s x <=5 sleep-retry on
-    # harvest BaseException, LogHarvesterTask.java:311-329)
+    # C5 source-side harvest retry, per bucket: a failed bucket (read or
+    # transform error) is retried with backoff while the others run on;
+    # on exhaustion the run raises once every other bucket has committed
+    # its manifest record/watermark (reference: 60 s x <=5 sleep-retry
+    # on harvest BaseException, per node, LogHarvesterTask.java:311-329)
     source_retry_attempts: int = 5
     source_retry_backoff_s: float = 60.0
 

@@ -22,7 +22,7 @@ row counts; one reducer task per partition that received rows from
 any input concatenates each input's slices and calls `fn` once.  No
 sample pass, range sort or merge runs, and no empty partition is
 ever emitted: the output has one block per non-empty partition.
-`exchange` runs its inputs (one after another) and both task waves
+`exchange` runs its inputs (one after another) and both task rounds
 when it is called (not lazily) and returns a materialized Dataset;
 up to M x P slices sit in the object store at once, the same bound a
 sort shuffle has.  The partition of a key depends on P, so the ROW

@@ -525,11 +525,6 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
             ).astype(np.int64)
 
 
-def _hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-element hamming distance of two uint64 arrays."""
-    return _popcount64(a ^ b)
-
-
 def simhash_near_dedup(ds: ray.data.Dataset, max_hamming: int = 3,
                        n_bands: int = 4, id_col: str = "doc_id",
                        text_col: str = "text") -> ray.data.Dataset:

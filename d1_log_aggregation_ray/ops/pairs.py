@@ -30,7 +30,7 @@ _PAIRS_SCHEMA = pa.schema([
     ("conv_id", pa.string()), ("turn_idx", pa.int32()),
     ("prompt", pa.string()), ("response", pa.string())])
 
-_STATS_SCHEMA = pa.schema([
+_CONVSTATS_SCHEMA = pa.schema([
     ("conv_id", pa.string()), ("n_turns", pa.int64()),
     ("n_assistant", pa.int64()), ("n_tool_calls", pa.int64()),
     ("n_chars", pa.int64()), ("dur_us", pa.int64())])
@@ -115,7 +115,7 @@ def conv_stats_scan(batch: pa.Table) -> pa.Table:
     batch = _valid_sorted(batch)
     n = batch.num_rows
     if n == 0:
-        return _STATS_SCHEMA.empty_table()
+        return _CONVSTATS_SCHEMA.empty_table()
     _, _, is_start = _segments(batch)
     starts = np.flatnonzero(is_start)
 
@@ -150,7 +150,7 @@ def conv_stats_scan(batch: pa.Table) -> pa.Table:
         "n_tool_calls": pa.array(seg_sum(has_tool)),
         "n_chars": pa.array(seg_sum(chars)),
         "dur_us": dur,
-    }).cast(_STATS_SCHEMA)
+    }).cast(_CONVSTATS_SCHEMA)
 
 
 def conv_text_scan(batch: pa.Table) -> pa.Table:
@@ -707,7 +707,7 @@ def ooo_turns_scan(batch: pa.Table) -> pa.Table:
     """Out-of-order timestamp detection per conversation: n_ooo =
     turns whose ts is EARLIER than the running max of all prior turns
     in the conversation (turn_idx order) — the data-quality sentinel
-    a log pipeline runs on every ingest wave (the reference guards
+    a log pipeline runs on every ingest run (the reference guards
     the same invariant per key via
     `isLaterOrSameAsLatestCachedTime`, ReadEventCounterCache.java:
     150-160; here it's a corpus-wide audit instead of a cache guard).

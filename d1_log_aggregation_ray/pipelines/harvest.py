@@ -12,27 +12,32 @@ Ray tasks (_run_stages) with two terminals:
          record                                   [skew-splitting]
     slice task per slice (_get_enricher)          [R1-R3, J1-J5, M4, S6]
       -> either enrich, write per-(bucket, sink) parquet and return
-         stats (run_harvest), or return the enriched rows
-         (build_pipeline, a Dataset over the slice tasks' tables)
+         the slice's lineage record (run_harvest), or return the
+         enriched rows (build_pipeline, a Dataset over the slice
+         tasks' tables)
 
 Design notes (scale):
   - No all-to-all exchange: the corpus is conv-hash partitioned, so
     the order-dependent window scan runs per bucket file in place.
   - No Ray Data executor between the stages: on a small pool its
-    scheduling cost more than the stages themselves.  The driver
-    multiplexes each wave's scan generators with ray.wait and submits
-    one slice task per yielded slice, so a hot bucket still fans out
-    across the pool at slice granularity.
+    scheduling cost more than the stages themselves.  The driver keeps
+    two buckets per pool CPU in flight, multiplexes their scan
+    generators and slice tasks with ray.wait and submits one slice
+    task per yielded slice, so a hot bucket still fans out across the
+    pool at slice granularity.
   - Side tables are ray.put once; every slice task receives the ref
     nested in a list (unresolved), so the worker-global cached Enricher
     keyed by it is reused across tasks.
   - Buckets (the generator's hash partitions; convs never span them)
-    are the resume unit, processed in waves; each completed wave appends
-    per-bucket lineage and stage records to the checkpoint manifest.
+    are the resume and retry unit, as the reference's Member Nodes are:
+    each bucket appends its lineage and stage records to the checkpoint
+    manifest as soon as its scan and every slice it fed have resolved,
+    and no bucket waits for another.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -49,6 +54,7 @@ import ray
 import ray.data
 
 from ..config import PipelineConfig, DEFAULT_CONFIG
+from ..functions import parts
 from ..sources import readers
 from ..sources.readers import load_side_tables
 from ..stages.project import clean_project
@@ -67,15 +73,24 @@ def build_pipeline(fx_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
                    side_ref=None) -> ray.data.Dataset:
     """The flagship stage list over the given buckets (all by default),
     closed by the row terminal: a materialized Dataset of the enriched
-    records, one block per slice.  Runs eagerly, as `exchange` does."""
+    records, one block per slice.  Runs eagerly, as `exchange` does;
+    a failed bucket fails the call."""
     if side_ref is None:
         side_ref = ray.put(load_side_tables(fx_dir))
     if buckets is None:
         buckets = list(_corpus_buckets(fx_dir))
-    stages = _run_stages(fx_dir, buckets, cfg, side_ref, _enrich_rows,
-                         {"cfg": cfg, "run_ts": run_ts})
+    outs: dict[int, list] = {}
+
+    def keep(b, scan, slices, t0):
+        outs[b] = slices
+
+    def reraise(b, err):
+        raise err
+
+    _run_stages(fx_dir, dict.fromkeys(buckets), cfg, side_ref, _enrich_rows,
+                {"cfg": cfg, "run_ts": run_ts}, keep, reraise)
     return ray.data.from_arrow_refs(
-        [t for _, outs in stages.values() for t, _ in outs])
+        [t for b in buckets for t, _ in outs[b]])
 
 
 def scan_bucket(path: str, cfg: PipelineConfig, floor_us: int | None = None,
@@ -116,57 +131,110 @@ def _slice(batch: pa.Table, side: list, terminal, kwargs: dict) -> tuple:
     return out, [time.perf_counter() - t0, time.process_time() - c0]
 
 
-def _scan_wave(fx_dir: str, buckets: list[int], cfg: PipelineConfig,
-               floors: dict[int, int] | None = None) -> dict:
-    """Submit one scan task per bucket, largest file first, and return
-    {scan generator: bucket}.  Called once per wave attempt."""
-    paths = readers.bucket_paths(fx_dir)
-    fault = readers._FAULT_ONCE_PATH  # read at submit time
-    order = sorted(buckets, key=lambda b: -os.path.getsize(paths[b]))
-    return {_scan_bucket.remote(paths[b], cfg,
-                                None if floors is None else floors[b],
-                                fault): b
-            for b in order}
+def _run_stages(fx_dir: str, floors: dict[int, int | None],
+                cfg: PipelineConfig, side_ref, terminal, kwargs: dict,
+                commit, fail, proceed=None) -> bool:
+    """Scan every bucket of `floors` ({bucket: watermark floor, None on
+    a full harvest}), largest file first, and send every slice through
+    `terminal`.  Returns True when `proceed()` stopped the submissions.
 
-
-def _run_stages(fx_dir: str, buckets: list[int], cfg: PipelineConfig,
-                side_ref, terminal, kwargs: dict,
-                floors: dict[int, int] | None = None) -> dict:
-    """Scan `buckets` and send every slice through `terminal`; returns
-    {bucket: (scan stage record, [(table ref, timing ref) per slice])}.
+    Two buckets per pool CPU are in flight.  A bucket calls
+    commit(bucket, scan stage record, [(out ref, timing ref) per
+    slice], submit time) as soon as its scan and every slice it fed
+    have resolved.  A failed bucket alone is cancelled and its
+    submitted slices waited out, so no late write lands in a dir the
+    caller clears; then fail(bucket, error) returns the delay before
+    its scan is submitted again, or None to drop it.  `proceed` is
+    polled before each scan is submitted; once it returns False, no
+    scan is, and the buckets already started finish and commit.
 
     A scan generator's last item is its record, so each yielded ref is
-    held until the next one arrives and only then submitted as a slice.
-    On any failure the scans are cancelled and the submitted slice tasks
-    waited out before the error propagates, so no late write can land
-    in a bucket dir the caller clears."""
-    gens = _scan_wave(fx_dir, buckets, cfg, floors)
-    held: dict = {}
-    out: dict[int, tuple] = {b: (None, []) for b in buckets}
-    pending = list(gens)
+    held until the next one arrives and only then submitted as a
+    slice."""
+    paths = readers.bucket_paths(fx_dir)
+    fault = readers._FAULT_ONCE_PATH  # read at submit time
+    queue = sorted(floors, key=lambda b: -os.path.getsize(paths[b]))
+    # sized from the pool as parts.hash_parts is: a CPU always has a
+    # next bucket queued, and the object store holds the scanned rows
+    # of that many buckets at most
+    window = 2 * max(1, parts._cpus())
+    later: list[tuple[float, int]] = []  # (due, bucket), in due order
+    live: dict[int, dict] = {}
+    gens: dict = {}   # scan generator -> bucket
+    waits: dict = {}  # slice timing ref -> bucket
+    stopped = False
+
+    def drop(b: int, err: Exception) -> None:
+        st = live.pop(b)
+        if gens.pop(st["gen"], None) is not None:
+            ray.cancel(st["gen"])
+        refs = [r for pair in st["slices"] for r in pair]
+        for r in refs:
+            waits.pop(r, None)
+        if refs:
+            ray.wait(refs, num_returns=len(refs), fetch_local=False)
+        delay = fail(b, err)
+        if delay is not None:
+            later.append((time.monotonic() + delay, b))
+
     try:
-        while pending:
-            ready, pending = ray.wait(pending, num_returns=1)
-            for g in ready:
-                b = gens[g]
+        while True:
+            while later and later[0][0] <= time.monotonic():
+                queue.insert(0, later.pop(0)[1])
+            while queue and len(live) < window and not stopped:
+                if proceed is not None and not proceed():
+                    stopped = True
+                    break
+                b = queue.pop(0)
+                g = _scan_bucket.remote(paths[b], cfg, floors[b], fault)
+                gens[g] = b
+                live[b] = {"gen": g, "t0": time.time(), "held": None,
+                           "scan": None, "slices": [], "pending": 0}
+            if not live:
+                if stopped or not later:
+                    return stopped
+                time.sleep(max(0.0, later[0][0] - time.monotonic()))
+                continue
+            timeout = (max(0.0, later[0][0] - time.monotonic())
+                       if later else None)
+            ready, _ = ray.wait(list(gens) + list(waits), num_returns=1,
+                                timeout=timeout)
+            for r in ready:
+                scanning = r in gens
+                b = gens[r] if scanning else waits.pop(r)
+                st = live[b]
                 try:
-                    ref = next(g)
-                except StopIteration:
-                    out[b] = (ray.get(held.pop(g)), out[b][1])
+                    if scanning:
+                        try:
+                            ref = next(r)
+                        except StopIteration:
+                            del gens[r]
+                            st["scan"] = ray.get(st["held"])
+                        else:
+                            if st["held"] is not None:
+                                pair = _slice.remote(st["held"], [side_ref],
+                                                     terminal, kwargs)
+                                st["slices"].append(pair)
+                                waits[pair[1]] = b
+                                st["pending"] += 1
+                            st["held"] = ref
+                    else:
+                        ray.get(r)  # the slice's error, if it failed
+                        st["pending"] -= 1
+                except Exception as err:
+                    drop(b, err)
                     continue
-                if g in held:
-                    out[b][1].append(_slice.remote(held[g], [side_ref],
-                                                   terminal, kwargs))
-                held[g] = ref
-                pending.append(g)
+                if st["scan"] is not None and not st["pending"]:
+                    del live[b]
+                    commit(b, st["scan"], st["slices"], st["t0"])
     except BaseException:
-        for g in gens:
-            ray.cancel(g)
-        refs = [r for _, outs in out.values() for pair in outs for r in pair]
+        for st in live.values():
+            ray.cancel(st["gen"])
+        refs = [r for st in live.values() for pair in st["slices"]
+                for r in pair]
         if refs:
             ray.wait(refs, num_returns=len(refs), fetch_local=False)
         raise
-    return out
 
 
 def _past_watermark(t: pa.Table, floor_us: int) -> pa.Table:
@@ -215,16 +283,23 @@ def _get_enricher(side_ref, cfg, run_ts, light: bool = False) -> Enricher:
     return e
 
 
-_STATS_SCHEMA = pa.schema([
-    ("bucket_id", pa.int32()), ("rows_out", pa.int64()),
-    ("in_partial_list", pa.int64()), ("in_full_list", pa.int64()),
-    ("is_repeat_visit", pa.int64()), ("max_ts", pa.string()),
-    ("per_sink", pa.string()), ("error_rows", pa.int64()),
-])
-
-#: additive per-bucket lineage counters (stats rows -> manifest records)
+#: additive per-bucket lineage counters (slice records -> manifest records)
 _COUNTS = ("rows_out", "in_partial_list", "in_full_list", "is_repeat_visit",
            "error_rows")
+
+
+def _merge(a: dict, b: dict) -> dict:
+    """Lineage record `b` folded into `a`: counts and per-sink rows
+    add up, max_ts is the later one.  Folds a bucket's slices into its
+    record, and a delta run into the bucket's prior cumulative one."""
+    per_sink = dict(a.get("per_sink_rows", {}))
+    for k, v in b.get("per_sink_rows", {}).items():
+        per_sink[k] = per_sink.get(k, 0) + v
+    return {**{k: a.get(k, 0) + b.get(k, 0) for k in _COUNTS},
+            "per_sink_rows": per_sink,
+            "max_ts": max(filter(None, (a.get("max_ts"), b.get("max_ts"))),
+                          default=None)}
+
 
 # sink-retry operating point (reference: MAX_OFFERED_ATTEMPTS = 5,
 # LogHarvesterTask.java:103,474-480)
@@ -286,10 +361,12 @@ def _groups(t: pa.Table, col: str) -> list[tuple]:
 
 
 def _enrich_and_write_slice(batch: pa.Table, out_dir: str, side_ref, cfg,
-                            run_ts) -> pa.Table:
-    """Write terminal: enrich a slice of scanned rows and write its
-    per-(bucket, sink) parquet files directly, returning per-bucket
-    lineage/stats rows.
+                            run_ts) -> dict:
+    """Write terminal: enrich a slice of scanned rows, write its
+    per-sink parquet files directly and return the slice's lineage
+    record; rows the M3 ladder drops count in its error_rows.  A slice
+    is one bucket: its scan task read one bucket file (and
+    bucket_window_scan's check_bucket guards it).
 
     Writing inside the slice task keeps the (4-5x wider) enriched data
     out of the object store — it saves a full copy + transfer of every
@@ -303,9 +380,9 @@ def _enrich_and_write_slice(batch: pa.Table, out_dir: str, side_ref, cfg,
     from ..functions.hashing import md5_lower64
     e = _get_enricher(side_ref, cfg, run_ts)
     n = batch.num_rows
+    rec = _merge({}, {})  # all zero
     if n == 0:
-        return _STATS_SCHEMA.empty_table()
-    error_rows = 0
+        return rec
     try:
         # fast path: one vectorized enrich over the whole slice (the
         # Enricher's per-call fixed costs — dictionary encode, regex
@@ -318,88 +395,33 @@ def _enrich_and_write_slice(batch: pa.Table, out_dir: str, side_ref, cfg,
         step = cfg.batch_size or 8192
         for off in range(0, n, step):
             out, dropped = _enrich_tolerant(e, batch.slice(off, step))
-            error_rows += dropped
+            rec["error_rows"] += dropped
             if out is not None:
                 outs.append(out)
-
-    # dropped rows can't be attributed to a bucket (the failing rows
-    # never got one); record them under bucket_id=-1 — the manifest
-    # rollup surfaces them as unattributed error lineage rather than
-    # silently losing them (even when EVERY row of the slice failed)
-    err_row = [{
-        "bucket_id": -1, "rows_out": 0, "in_partial_list": 0,
-        "in_full_list": 0, "is_repeat_visit": 0, "max_ts": None,
-        "per_sink": "{}", "error_rows": error_rows,
-    }] if error_rows else []
     if not outs:
-        return pa.Table.from_pylist(err_row, schema=_STATS_SCHEMA)
+        return rec
     t = pa.concat_tables(outs).combine_chunks()
 
-    stats_rows = []
-    # a slice is one bucket (its scan task read one bucket file), and
-    # one bucket often maps to one sink (when n_sinks divides n_buckets,
-    # hash % n_sinks is constant per bucket): _groups skips the filter
-    for b, tb in _groups(t, "bucket_id"):
-        bdir = os.path.join(out_dir, f"bucket_id={b}")
-        tag = md5_lower64(
-            f"{tb.column('turn_id')[0].as_py()}|"
-            f"{tb.column('turn_id')[-1].as_py()}|{tb.num_rows}")
-        per_sink = {}
-        for s, sub in _groups(tb, "sink_id"):
-            sdir = os.path.join(bdir, f"sink_id={s}")
-            os.makedirs(sdir, exist_ok=True)
-            fpath = os.path.join(sdir, f"part-{tag:016x}.parquet")
-            _write_with_retry(sub.drop_columns(["bucket_id", "sink_id"]), fpath)
-            per_sink[str(s)] = sub.num_rows
-        max_ts = pc.max(tb.column("ts")).as_py()
-        stats_rows.append({
-            "bucket_id": b,
-            "rows_out": tb.num_rows,
-            **{c: int(pc.sum(pc.cast(tb.column(c), pa.int64())).as_py() or 0)
-               for c in ("in_partial_list", "in_full_list", "is_repeat_visit")},
-            "max_ts": max_ts.isoformat() if max_ts else None,
-            "per_sink": json.dumps(per_sink),
-            "error_rows": 0,
-        })
-    return pa.Table.from_pylist(stats_rows + err_row, schema=_STATS_SCHEMA)
-
-
-def _harvest_wave(fx_dir: str, out_dir: str, wave: list[int],
-                  cfg: PipelineConfig, run_ts: datetime, side_ref,
-                  floors: dict[int, int] | None) -> tuple[dict, int]:
-    """One wave through the write terminal: ({bucket: lineage record
-    with the stage records of its scan task and its slice tasks},
-    enrichment error rows no bucket could be attributed)."""
-    stages = _run_stages(fx_dir, wave, cfg, side_ref,
-                         _enrich_and_write_slice,
-                         {"out_dir": out_dir, "cfg": cfg, "run_ts": run_ts},
-                         floors)
-    refs = [r for _, outs in stages.values() for pair in outs for r in pair]
-    if refs:  # every slice has written or failed before any error raises
-        ray.wait(refs, num_returns=len(refs), fetch_local=False)
-    recs, unattributed = {}, 0
-    for b, (scan, outs) in stages.items():
-        rec = dict.fromkeys(_COUNTS, 0)
-        rec.update(per_sink_rows={}, max_ts=None)
-        # bucket_id=-1 rows are unattributed enrichment errors (M3)
-        for t in ray.get([t for t, _ in outs]):
-            for row in t.to_pylist():
-                if row["bucket_id"] == -1:
-                    unattributed += row["error_rows"]
-                    continue
-                for k in _COUNTS:
-                    rec[k] += row[k]
-                for k, v in json.loads(row["per_sink"]).items():
-                    rec["per_sink_rows"][k] = rec["per_sink_rows"].get(k, 0) + v
-                rec["max_ts"] = max(filter(None, (rec["max_ts"],
-                                                  row["max_ts"])),
-                                    default=None)
-        timing = np.sum(ray.get([t for _, t in outs]) or [[0.0, 0.0]], axis=0)
-        rec["stages"] = {"scan": scan, "slices": {
-            "tasks": len(outs), "wall_s": round(float(timing[0]), 4),
-            "cpu_s": round(float(timing[1]), 4)}}
-        recs[b] = rec
-    return recs, unattributed
+    b = t.column("bucket_id")[0].as_py()
+    bdir = os.path.join(out_dir, f"bucket_id={b}")
+    tag = md5_lower64(
+        f"{t.column('turn_id')[0].as_py()}|"
+        f"{t.column('turn_id')[-1].as_py()}|{t.num_rows}")
+    # one bucket often maps to one sink (when n_sinks divides
+    # n_buckets, hash % n_sinks is constant per bucket): _groups skips
+    # the filter
+    for s, sub in _groups(t, "sink_id"):
+        sdir = os.path.join(bdir, f"sink_id={s}")
+        os.makedirs(sdir, exist_ok=True)
+        fpath = os.path.join(sdir, f"part-{tag:016x}.parquet")
+        _write_with_retry(sub.drop_columns(["bucket_id", "sink_id"]), fpath)
+        rec["per_sink_rows"][str(s)] = sub.num_rows
+    max_ts = pc.max(t.column("ts")).as_py()
+    rec["rows_out"] = t.num_rows
+    rec["max_ts"] = max_ts.isoformat() if max_ts else None
+    for c in ("in_partial_list", "in_full_list", "is_repeat_visit"):
+        rec[c] = int(pc.sum(pc.cast(t.column(c), pa.int64())).as_py() or 0)
+    return rec
 
 
 def _grown_buckets(fx_dir: str, latest: dict[int, dict]) -> dict[int, dict]:
@@ -453,29 +475,32 @@ def reconcile(fx_dir: str, out_dir: str) -> dict:
 def run_harvest(fx_dir: str, out_dir: str,
                 cfg: PipelineConfig = DEFAULT_CONFIG,
                 run_ts: datetime = DEFAULT_RUN_TS,
-                wave_size: int = 8,
                 resume: bool = True,
                 should_continue=None) -> dict:
     """Run (or resume) the harvest over all buckets; returns a summary.
 
-    Buckets are processed in waves of `wave_size`; after each wave the
-    manifest records one lineage line per bucket.  On resume, completed
-    buckets are skipped and partial output dirs of incomplete buckets
-    are cleared before reprocessing (partition-atomic overwrite — the
-    idempotency analog of Solr upsert-by-id).
+    Every todo and delta bucket runs through one stage list, largest
+    file first, two buckets per pool CPU in flight.  Each bucket
+    appends its manifest lineage record as soon as its scan and every
+    slice it fed have resolved, with its own duration_s from scan
+    submit to commit.  On resume, completed buckets are skipped and
+    partial output dirs of incomplete buckets are cleared before
+    reprocessing (partition-atomic overwrite — the idempotency analog
+    of Solr upsert-by-id).
 
-    C5 source-side retry: a wave that raises (flaky reads included) is
-    retried up to cfg.source_retry_attempts times with
-    cfg.source_retry_backoff_s sleeps; on exhaustion the error
-    propagates with every COMPLETED wave already persisted in the
-    manifest, so the next invocation resumes from the watermark
-    (reference: 60 s x <=5 on harvest BaseException,
-    LogHarvesterTask.java:311-329).
+    C5 source-side retry, per bucket as the reference's per-node job:
+    a bucket that raises (flaky reads included) is retried after
+    cfg.source_retry_backoff_s, up to cfg.source_retry_attempts times,
+    while the other buckets run on; on exhaustion its error is raised
+    after every other bucket has committed, so the next invocation
+    resumes from the watermark (reference: 60 s x <=5 on harvest
+    BaseException, LogHarvesterTask.java:311-329).
 
-    C4 kill switch: the run is drained cooperatively between waves when
-    `should_continue()` returns False or the `<out_dir>/_KILL` file
-    exists (reference: LogAggregator.active polled per page,
-    v1/NodeCommunication.java:58-63).  A drained run reports
+    C4 kill switch: `should_continue()` and the `<out_dir>/_KILL` file
+    are polled before each bucket's scan is submitted (reference:
+    LogAggregator.active polled per page, v1/NodeCommunication.java:
+    58-63).  Once either says stop, no bucket starts; those already
+    started finish and commit.  A drained run reports
     stopped_early=True and resumes cleanly.
     """
     os.makedirs(out_dir, exist_ok=True)
@@ -510,8 +535,6 @@ def run_harvest(fx_dir: str, out_dir: str,
                           ignore_errors=True)
         if os.path.exists(manifest.path):
             os.remove(manifest.path)
-        done = set()
-        todo = list(corpus_buckets)
     # clear partials from a previous killed run (full buckets only —
     # a delta bucket's dir holds committed prior output; idempotency
     # for a killed DELTA re-run comes from deterministic content-
@@ -521,126 +544,90 @@ def run_harvest(fx_dir: str, out_dir: str,
         shutil.rmtree(os.path.join(out_dir, f"bucket_id={b}.inprogress"),
                       ignore_errors=True)
 
-    side_ref = ray.put(load_side_tables(fx_dir))
-    t_start = time.time()
-    rows_in_total = 0
-    run_unattributed = 0
-    stopped_early = False
+    floors: dict[int, int | None] = dict.fromkeys(todo)
+    floors.update({b: _floor_us(rec.get("max_ts"))
+                   for b, rec in delta.items()})
+    run = dict.fromkeys(("rows_in", "error_rows", "delta_rows_out"), 0)
+    tries = dict.fromkeys(floors, 0)
+    errors: list[Exception] = []
     kill_path = os.path.join(out_dir, "_KILL")
 
-    waves: list[tuple[list[int], dict[int, int] | None]] = [
-        (todo[i:i + wave_size], None)
-        for i in range(0, len(todo), wave_size)]
-    delta_order = sorted(delta)
-    waves += [
-        (w, {b: _floor_us(delta[b].get("max_ts")) for b in w})
-        for w in (delta_order[i:i + wave_size]
-                  for i in range(0, len(delta_order), wave_size))]
-    delta_rows_out = 0
-    for wave, floors in waves:
-        # cooperative kill switch, polled between waves (the resume
-        # unit): completed waves stay committed, nothing is torn
-        if (should_continue is not None and not should_continue()) \
-                or os.path.exists(kill_path):
-            stopped_early = True
-            break
-        t0 = time.time()
-        last_err: BaseException | None = None
-        # 1 initial attempt + source_retry_attempts sleep-retries,
-        # matching the reference's "sleep 60 s, retry <=5" semantics
-        # (LogHarvesterTask.java:311-329)
-        for attempt in range(1 + cfg.source_retry_attempts):
-            try:
-                wave_recs, unattributed_errors = _harvest_wave(
-                    fx_dir, out_dir, wave, cfg, run_ts, side_ref, floors)
-                last_err = None
-                break
-            except Exception as err:  # flaky source/transform: backoff
-                last_err = err
-                _LOG.warning(
-                    "harvest wave %s attempt %d/%d failed: %r%s", wave,
-                    attempt + 1, 1 + cfg.source_retry_attempts, err,
-                    "" if attempt >= cfg.source_retry_attempts else
-                    f" — retrying in {cfg.source_retry_backoff_s}s")
-                # a partially-written FULL wave is cleared before the
-                # retry (partition-atomic overwrite, same as resume); a
-                # delta wave's dirs hold committed prior output, so
-                # they are never cleared — its retried writes overwrite
-                # their own content-derived file names idempotently
-                if floors is None:
-                    for b in wave:
-                        shutil.rmtree(
-                            os.path.join(out_dir, f"bucket_id={b}"),
-                            ignore_errors=True)
-                if attempt < cfg.source_retry_attempts:
-                    time.sleep(cfg.source_retry_backoff_s)
-        if last_err is not None:
-            raise last_err  # completed waves persisted -> clean resume
-        dt = time.time() - t0
-        # rows_in: the rows the scan task read (the fragment's size)
-        n_in = sum(r["stages"]["scan"]["rows_read"] for r in wave_recs.values())
-        rows_in_total += n_in
-        for b in sorted(wave_recs):
-            rec = wave_recs[b]
-            if floors is not None:
-                # delta re-harvest: append the updated CUMULATIVE
-                # record (rollups read last-wins via latest_complete);
-                # rows_in advances to the grown fragment size so the
-                # bucket is not re-detected until it grows again
-                old = delta[b]
-                delta_rows_out += rec["rows_out"]
-                ps = dict(old.get("per_sink_rows", {}))
-                for k, v in rec["per_sink_rows"].items():
-                    ps[k] = ps.get(k, 0) + v
-                rec = {**rec, **{k: old.get(k, 0) + rec[k] for k in _COUNTS},
-                       "per_sink_rows": ps,
-                       "max_ts": max(filter(None, (old.get("max_ts"),
-                                                   rec["max_ts"])),
-                                     default=None),
-                       "delta_runs": old.get("delta_runs", 0) + 1}
-            manifest.append({
-                "bucket": b, "complete": True,
-                "fragment": os.path.relpath(corpus_buckets[b], fx_dir),
-                "wave": wave, "wave_rows_in": n_in,
-                "rows_in": rec["stages"]["scan"]["rows_read"],
-                "wave_duration_s": round(dt, 3),
-                "run_ts": run_ts.isoformat(),
-                **rec,
-            })
-        if unattributed_errors:
-            run_unattributed += unattributed_errors
-            manifest.append({"bucket": -1, "complete": False,
-                             "wave": wave, "run_ts": run_ts.isoformat(),
-                             "error_rows": unattributed_errors})
+    def commit(b, scan, slices, t0):
+        rec = functools.reduce(_merge, ray.get([out for out, _ in slices]),
+                               _merge({}, {}))  # all zero with no slice
+        run["rows_in"] += scan["rows_read"]
+        run["error_rows"] += rec["error_rows"]
+        timing = np.sum(ray.get([t for _, t in slices]) or [[0.0, 0.0]],
+                        axis=0)
+        stages = {"scan": scan, "slices": {
+            "tasks": len(slices), "wall_s": round(float(timing[0]), 4),
+            "cpu_s": round(float(timing[1]), 4)}}
+        if b in delta:
+            # delta re-harvest: append the updated CUMULATIVE record
+            # (rollups read last-wins via latest_complete); rows_in
+            # advances to the grown fragment size so the bucket is not
+            # re-detected until it grows again
+            run["delta_rows_out"] += rec["rows_out"]
+            rec = {**_merge(delta[b], rec),
+                   "delta_runs": delta[b].get("delta_runs", 0) + 1}
+        manifest.append({
+            "bucket": b, "complete": True,
+            "fragment": os.path.relpath(corpus_buckets[b], fx_dir),
+            "rows_in": scan["rows_read"],
+            "duration_s": round(time.time() - t0, 3),
+            "run_ts": run_ts.isoformat(),
+            "stages": stages,
+            **rec,
+        })
 
-    all_recs = manifest.records()
+    def fail(b, err):
+        tries[b] += 1
+        retry = tries[b] <= cfg.source_retry_attempts
+        _LOG.warning(
+            "harvest bucket %d attempt %d/%d failed: %r%s", b, tries[b],
+            1 + cfg.source_retry_attempts, err,
+            f" — retrying in {cfg.source_retry_backoff_s}s" if retry else "")
+        # a partially-written FULL bucket is cleared before its retry
+        # (partition-atomic overwrite, same as resume); a delta
+        # bucket's dir holds committed prior output, so it never is —
+        # its retried writes overwrite their own content-derived names
+        if floors[b] is None:
+            shutil.rmtree(os.path.join(out_dir, f"bucket_id={b}"),
+                          ignore_errors=True)
+        if retry:
+            return cfg.source_retry_backoff_s
+        errors.append(err)
+        return None
+
+    def proceed():
+        return ((should_continue is None or should_continue())
+                and not os.path.exists(kill_path))
+
+    side_ref = ray.put(load_side_tables(fx_dir))
+    t_start = time.time()
+    stopped_early = _run_stages(
+        fx_dir, floors, cfg, side_ref, _enrich_and_write_slice,
+        {"out_dir": out_dir, "cfg": cfg, "run_ts": run_ts},
+        commit, fail, proceed)
+    if errors:
+        raise errors[0]  # every other bucket committed -> clean resume
+
     # last-wins per bucket: delta re-harvests append updated CUMULATIVE
     # records, so summing every complete record would double-count
     recs = list(manifest.latest_complete().values())
-    total_out = sum(r["rows_out"] for r in recs)
-    # error lineage: unattributed (-1) records are written ONLY after
-    # their wave committed (every slice succeeded, complete records
-    # appended in the same iteration), so those waves are never
-    # reprocessed and every -1 record — this run's AND prior runs' —
-    # represents permanently dropped rows that must stay visible in the
-    # summary (M3: never silently lose them).  Completed bucket records
-    # carry error_rows=0 by construction; summing them is a no-op kept
-    # for shape-stability.
-    total_errors = sum(r.get("error_rows", 0) for r in all_recs)
-    summary = {
+    return {
         "buckets": len(recs),
         "resumed_skipped": sorted(done),
-        "rows_in_this_run": rows_in_total,
-        "rows_out_total": total_out,
+        "rows_in_this_run": run["rows_in"],
+        "rows_out_total": sum(r["rows_out"] for r in recs),
         "in_partial_list": sum(r["in_partial_list"] for r in recs),
         "in_full_list": sum(r["in_full_list"] for r in recs),
         "is_repeat_visit": sum(r["is_repeat_visit"] for r in recs),
         "max_ts": max((r["max_ts"] for r in recs if r["max_ts"]), default=None),
-        "error_rows": total_errors,
-        "error_rows_this_run": run_unattributed,
+        "error_rows": sum(r.get("error_rows", 0) for r in recs),
+        "error_rows_this_run": run["error_rows"],
         "delta_buckets": sorted(delta),
-        "delta_rows_out": delta_rows_out,
+        "delta_rows_out": run["delta_rows_out"],
         "stopped_early": stopped_early,
         "duration_s": round(time.time() - t_start, 3),
     }
-    return summary

@@ -114,25 +114,12 @@ def q_geo_enrich(sf_dir: str):
         _clean(sf_dir).select_columns(["conv_id"]), ["conv_id"], [])
 
     def add_geo(batch: pa.Table) -> pa.Table:
-        # vectorized geo_fields_for_hash: md5 per unique conv via the
-        # dictionary-scatter helper, then pure numpy arithmetic +
-        # np.char formatting (same C %-format as the f-strings)
+        # the Enricher's geo formulation, over md5 per unique conv
         from ..functions.hashing import md5_lower64_array
+        from ..stages.enrich import geo_fields
         h = md5_lower64_array(batch.column("conv_id"))
-        lat = (h % np.uint64(170000)).astype(np.float64) / 1000.0 - 85.0
-        lon = ((h // np.uint64(170000)) % np.uint64(360000)
-               ).astype(np.float64) / 1000.0 - 180.0
-        return pa.table({
-            "conv_id": batch.column("conv_id"),
-            "country": pa.array(np.char.add(
-                "country-", (h % np.uint64(40)).astype(str))),
-            "region": pa.array(np.char.add(
-                "region-", ((h // np.uint64(40)) % np.uint64(60)).astype(str))),
-            "city": pa.array(np.char.add(
-                "city-", ((h // np.uint64(2400)) % np.uint64(97)).astype(str))),
-            "location": pa.array(np.char.add(np.char.add(
-                np.char.mod("%.4f", lat), ", "), np.char.mod("%.4f", lon))),
-        })
+        return pa.table({"conv_id": batch.column("conv_id"),
+                         **geo_fields(h)})
 
     return ds.map_batches(add_geo, batch_format="pyarrow")
 

@@ -86,19 +86,10 @@ def _reenrich_bucket(bdir: str, changed: pa.Array, side, sentinel_us: int,
     # then blended by mask)
     enc = t.column("conv_id").combine_chunks().dictionary_encode()
     rows = side.meta_rows(np.array(enc.dictionary.to_pylist(), dtype=str))
-    midx = pc.take(pa.array(rows, mask=rows < 0), enc.indices)
-    for col, src in (("format_id", side.meta_format_id),
-                     ("series_id", side.meta_series_id),
-                     ("rights_holder", side.meta_rights_holder),
-                     ("read_permission", side.meta_read_permission)):
-        fresh = pc.take(src, midx)
-        blended = pc.if_else(hit, fresh, t.column(col).combine_chunks())
+    fresh = side.meta_columns(rows[enc.indices.to_numpy()])
+    for col, new in fresh.items():
+        blended = pc.if_else(hit, new, t.column(col).combine_chunks())
         t = t.set_column(t.schema.get_field_index(col), col, blended)
-    size_fresh = pc.cast(pc.fill_null(
-        pc.take(pa.array(side.meta_size), midx), 0), pa.int64())
-    t = t.set_column(t.schema.get_field_index("size"), "size",
-                     pc.if_else(hit, size_fresh,
-                                t.column("size").combine_chunks()))
     du = pa.array(np.full(t.num_rows, sentinel_us), type=pa.int64()).cast(
         pa.timestamp("us"))
     t = t.set_column(t.schema.get_field_index("date_updated"),

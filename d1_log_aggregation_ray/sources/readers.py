@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray
@@ -31,7 +32,7 @@ import ray.data
 
 #: read retry budget of a bucket-file task: a transient OSError (flaky
 #: FS) re-reads ONLY that file inside its task, and the other tasks
-#: run on (C5 at task granularity; the harvest's driver-side wave
+#: run on (C5 at task granularity; the harvest's driver-side bucket
 #: retry in pipelines/harvest.py remains the coarse backstop, reference
 #: LogHarvesterTask.java:311-329)
 READ_TASK_RETRIES = 4
@@ -39,14 +40,14 @@ READ_TASK_RETRIES = 4
 #: test-only fault injection: when set to a file path before a read is
 #: SUBMITTED, each read that finds the file consumes it once and raises
 #: OSError — used by pytest to prove the in-task retry recovers without
-#: a wave restart.  Never set in production code.
+#: a bucket restart.  Never set in production code.
 _FAULT_ONCE_PATH: str | None = None
 
 
 def read_bucket_file(path: str, columns: list[str] | None = None,
                      fault: str | None = None) -> pa.Table:
     """Read one bucket file with a bounded IN-TASK retry: a transient
-    OSError re-reads this one file without restarting the wave.
+    OSError re-reads this one file without restarting its bucket.
     Worker-death retries stay covered by Ray's default task
     max_retries.  `fault` is the caller's snapshot of _FAULT_ONCE_PATH,
     taken on the driver when the read was submitted."""
@@ -113,7 +114,7 @@ class SideTables:
     # conv_meta (sysmeta analog): parallel arrays keyed by conv_id
     meta_format_id: pa.Array
     meta_series_id: pa.Array
-    meta_size: np.ndarray           # int64, -1 for "no entry" handled via take
+    meta_size: pa.Array
     meta_rights_holder: pa.Array
     meta_read_permission: pa.Array  # list<string>
     # tool -> family (ObjectFormatCache analog)
@@ -144,6 +145,19 @@ class SideTables:
             return np.full(len(conv_ids), -1, dtype=np.int64)
         pos = np.clip(np.searchsorted(ks, conv_ids), 0, len(ks) - 1)
         return np.where(ks[pos] == conv_ids, self.meta_perm[pos], -1)
+
+    def meta_columns(self, rows: np.ndarray) -> dict[str, pa.Array]:
+        """The conv_meta join (J1/J3) at meta_rows indexes, one per
+        output row: the five conv_meta columns, null where the row is
+        -1, except size, which defaults to 0 as int64
+        (LogEntrySolrItem.java:251-256)."""
+        idx = pa.array(rows, mask=rows < 0)
+        size = pc.fill_null(pc.take(self.meta_size, idx), 0)
+        return {"format_id": pc.take(self.meta_format_id, idx),
+                "series_id": pc.take(self.meta_series_id, idx),
+                "size": pc.cast(size, pa.int64()),
+                "rights_holder": pc.take(self.meta_rights_holder, idx),
+                "read_permission": pc.take(self.meta_read_permission, idx)}
 
 
 def _merge_intervals(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -217,7 +231,7 @@ def _load_side_tables(fx_dir: str) -> SideTables:
         meta_perm=meta_perm,
         meta_format_id=meta.column("format_id").combine_chunks(),
         meta_series_id=meta.column("series_id").combine_chunks(),
-        meta_size=meta.column("size").to_numpy(),
+        meta_size=meta.column("size").combine_chunks(),
         meta_rights_holder=meta.column("rights_holder").combine_chunks(),
         meta_read_permission=meta.column("read_permission").combine_chunks(),
         tool_keys=etl.column("tool").combine_chunks(),

@@ -41,7 +41,7 @@ import ray
 
 from ..config import PipelineConfig, DEFAULT_CONFIG, DATE_UPDATED_SENTINEL
 from ..functions.hashing import md5_lower64
-from ..functions.geohash import geohash_encode, geohash_encode_array
+from ..functions.geohash import geohash_encode_array
 from ..sources.readers import SideTables
 from .parse import regex_flags
 
@@ -59,19 +59,31 @@ ENRICHED_COLUMNS = [
 ]
 
 
-def geo_fields_for_hash(h: int) -> dict:
-    """Synthetic geo from a 64-bit hash — pure arithmetic, reproducible
-    in DuckDB SQL (md5_number_lower-based)."""
-    lat = (h % 170000) / 1000.0 - 85.0
-    lon = ((h // 170000) % 360000) / 1000.0 - 180.0
-    gh = geohash_encode(lat, lon, 9)
-    return {
-        "country": f"country-{h % 40}",
-        "region": f"region-{(h // 40) % 60}",
-        "city": f"city-{(h // 2400) % 97}",
-        "location": f"{lat:.4f}, {lon:.4f}",
-        "geohash": gh,
+def geo_fields(h: np.ndarray, geohash: bool = False) -> dict[str, pa.Array]:
+    """Synthetic geo (J4) of each uint64 conv hash: country, region,
+    city and location (and the precision-9 geohash when asked) as pure
+    numpy arithmetic + C %-formatting, reproducible in DuckDB SQL
+    (md5_number_lower-based)."""
+    keys = ("country", "region", "city", "location") + (
+        ("geohash",) if geohash else ())
+    if not len(h):
+        return {k: pa.array([], type=pa.string()) for k in keys}
+    lat = (h % np.uint64(170000)).astype(np.float64) / 1000.0 - 85.0
+    lon = ((h // np.uint64(170000)) % np.uint64(360000)
+           ).astype(np.float64) / 1000.0 - 180.0
+    out = {
+        "country": pa.array(np.char.add(
+            "country-", (h % np.uint64(40)).astype(str))),
+        "region": pa.array(np.char.add(
+            "region-", ((h // np.uint64(40)) % np.uint64(60)).astype(str))),
+        "city": pa.array(np.char.add(
+            "city-", ((h // np.uint64(2400)) % np.uint64(97)).astype(str))),
+        "location": pa.array(np.char.add(np.char.add(
+            np.char.mod("%.4f", lat), ", "), np.char.mod("%.4f", lon))),
     }
+    if geohash:
+        out["geohash"] = pa.array(geohash_encode_array(lat, lon, 9))
+    return out
 
 
 class Enricher:
@@ -109,7 +121,6 @@ class Enricher:
         from ..functions.hashing import epoch_us
         self._run_ts_us = epoch_us(run_ts)
         self._sentinel_us = epoch_us(datetime.fromisoformat(DATE_UPDATED_SENTINEL))
-        self._meta_size_arr = pa.array(side.meta_size)
         self._node_ids = pa.array([f"urn:node:SYNTH{b:02d}"
                                    for b in range(cfg.n_buckets)])
 
@@ -125,8 +136,7 @@ class Enricher:
         string arrays, hash-space interval membership via one
         searchsorted on the merged [lo,hi] ranges, geo fields as pure
         numpy arithmetic + C %-formatting, geohash via the vectorized
-        bisection (functions/geohash.geohash_encode_array — bit-parity
-        tested against the scalar encoder)."""
+        bisection (geo_fields)."""
         if conv.null_count:
             raise ValueError(
                 "Enricher requires cleaned input (null conv_id present) — "
@@ -151,24 +161,8 @@ class Enricher:
             p = np.searchsorted(lo, h32, side="right") - 1
             member |= (p >= 0) & (h32 <= hi[np.clip(p, 0, None)])
         meta_row = side.meta_rows(mu)
-        lat = (h64 % np.uint64(170000)).astype(np.float64) / 1000.0 - 85.0
-        lon = ((h64 // np.uint64(170000)) % np.uint64(360000)
-               ).astype(np.float64) / 1000.0 - 180.0
-        geo_cols = {
-            "country": pa.array(np.char.add(
-                "country-", (h64 % np.uint64(40)).astype(str))),
-            "region": pa.array(np.char.add(
-                "region-", ((h64 // np.uint64(40)) % np.uint64(60)).astype(str))),
-            "city": pa.array(np.char.add(
-                "city-", ((h64 // np.uint64(2400)) % np.uint64(97)).astype(str))),
-            "location": pa.array(np.char.add(np.char.add(
-                np.char.mod("%.4f", lat), ", "), np.char.mod("%.4f", lon))),
-            "geohash": pa.array(geohash_encode_array(lat, lon, 9)),
-        } if n else {
-            k: pa.array([], type=pa.string())
-            for k in ("country", "region", "city", "location", "geohash")}
         idx = np.asarray(pc.fill_null(enc.indices, 0)).astype(np.int64)
-        return h64, geo_cols, member, meta_row, idx
+        return h64, geo_fields(h64, geohash=True), member, meta_row, idx
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         side, cfg = self.side, self.cfg
@@ -216,19 +210,11 @@ class Enricher:
                     if c in batch.column_names]
             return batch.select(keep)
 
-        # J1/J3: conv_meta broadcast join (null-tolerant; size default 0,
-        # LogEntrySolrItem.java:251-256) — row indexes resolved per
+        # J1/J3: conv_meta broadcast join — row indexes resolved per
         # unique conv in _conv_luts, scattered here, then one take()
-        mrows = meta_lut[idx]
-        midx = pa.array(mrows, mask=(mrows < 0))
-        batch = batch.append_column("format_id", pc.take(side.meta_format_id, midx))
-        batch = batch.append_column("series_id", pc.take(side.meta_series_id, midx))
-        size = pc.fill_null(pc.take(self._meta_size_arr, midx), 0)
-        batch = batch.append_column("size", pc.cast(size, pa.int64()))
-        batch = batch.append_column("rights_holder",
-                                    pc.take(side.meta_rights_holder, midx))
-        batch = batch.append_column("read_permission",
-                                    pc.take(side.meta_read_permission, midx))
+        # per column
+        for k, col in side.meta_columns(meta_lut[idx]).items():
+            batch = batch.append_column(k, col)
 
         # J2: tool -> tool_family
         tidx = pc.index_in(batch.column("tool").combine_chunks(), side.tool_keys)

@@ -26,7 +26,7 @@ Scale note: a single conv is the unit of sequential work; the scan is a
 tight loop over int64 ns values, ~10M turns/s/core.  Pathologically hot
 convs (>> block size) would need salted partial scans with boundary-
 window stitching.  Block row counts (the skew) are not recorded in the
-manifest yet; ROADMAP Direction 3 plans it.
+manifest yet; ROADMAP Direction 2 plans it.
 """
 
 from __future__ import annotations

@@ -11,8 +11,7 @@ from d1_log_aggregation_ray import cli
 def test_cli_harvest_reconcile_query(fx_dir, tmp_path, capsys):
     out = str(tmp_path / "out")
     cli.cmd_harvest(argparse.Namespace(
-        sf_dir="/root/testdata/sf0.001", out=out, wave_size=16,
-        no_resume=True))
+        sf_dir="/root/testdata/sf0.001", out=out, no_resume=True))
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert summary["rows_out_total"] == 5000 and not summary["stopped_early"]
 
@@ -30,8 +29,7 @@ def test_cli_harvest_reconcile_query(fx_dir, tmp_path, capsys):
 def test_cli_compact_and_export(fx_dir, tmp_path, capsys):
     out = str(tmp_path / "out")
     cli.cmd_harvest(argparse.Namespace(
-        sf_dir="/root/testdata/sf0.001", out=out, wave_size=16,
-        no_resume=True))
+        sf_dir="/root/testdata/sf0.001", out=out, no_resume=True))
     capsys.readouterr()
 
     cli.cmd_compact(argparse.Namespace(out=out))

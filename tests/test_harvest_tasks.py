@@ -57,7 +57,7 @@ def test_harvest_runs_no_ray_data_operator(fx_dir, tmp_path, monkeypatch):
         monkeypatch.setattr(ray.data.Dataset, name, refuse)
     for name in ("from_items", "read_parquet"):
         monkeypatch.setattr(ray.data, name, refuse)
-    # no wave retry: a refused operator fails the run at once
+    # no bucket retry: a refused operator fails the run at once
     cfg = dataclasses.replace(DEFAULT_CONFIG, source_retry_attempts=0)
     s = run_harvest(fx_dir, str(tmp_path / "out"), cfg=cfg, resume=False)
     with open(os.path.join(fx_dir, "meta.json")) as f:
@@ -188,7 +188,7 @@ import sys
 import ray
 ray.init(address="local", num_cpus=2, include_dashboard=False)
 from d1_log_aggregation_ray.pipelines.harvest import run_harvest
-run_harvest(sys.argv[1], sys.argv[2], resume=False, wave_size=8)
+run_harvest(sys.argv[1], sys.argv[2], resume=False)
 """
 
 

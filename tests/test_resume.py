@@ -51,7 +51,7 @@ def test_resume_complete_run_is_noop(fx_dir, tmp_path):
 
 
 def test_source_retry_recovers_flaky_wave(fx_dir, tmp_path, monkeypatch):
-    """C5 source-side retry: an in-task read failure on the first wave
+    """C5 source-side retry: a scan failure on a bucket's first
     attempt is retried with backoff and the run completes with correct
     totals (reference: 60 s x <=5 sleep-retry, LogHarvesterTask.java:
     311-329)."""
@@ -91,61 +91,104 @@ def test_source_retry_recovers_flaky_wave(fx_dir, tmp_path, monkeypatch):
 
 def test_source_retry_exhaustion_raises_with_watermark(fx_dir, tmp_path,
                                                        monkeypatch):
-    """Retry exhaustion propagates the error, but completed waves stay
-    in the manifest so the next run resumes instead of restarting."""
+    """A bucket whose source is down fails alone: it is retried
+    source_retry_attempts times, every other bucket commits, then its
+    error propagates and the next run resumes only that bucket."""
     import dataclasses
     import pytest
+    import ray
     from d1_log_aggregation_ray.config import DEFAULT_CONFIG
     from d1_log_aggregation_ray.pipelines import harvest as hmod
 
     out = str(tmp_path / "out")
-    calls = {"n": 0}
-    real_scan_wave = hmod._scan_wave  # called once per wave attempt
+    real_scan = hmod.scan_bucket
+    submits = []
 
-    def dying_scan_wave(*args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] > 1:  # first wave fine, second wave always dies
+    @ray.remote(num_cpus=1, num_returns="streaming")
+    def dying_scan(path, *args):
+        if path.endswith("part-09.parquet"):
             raise OSError("source down")
-        return real_scan_wave(*args, **kwargs)
+        yield from real_scan(path, *args)
 
-    monkeypatch.setattr(hmod, "_scan_wave", dying_scan_wave)
+    class CountingScan:
+        def remote(self, path, *args):
+            submits.append(path)
+            return dying_scan.remote(path, *args)
+
+    monkeypatch.setattr(hmod, "_scan_bucket", CountingScan())
     cfg = dataclasses.replace(DEFAULT_CONFIG, source_retry_attempts=3,
                               source_retry_backoff_s=0.01)
     with pytest.raises(OSError):
-        run_harvest(fx_dir, out, cfg=cfg, resume=False, wave_size=8)
-    # one good wave + (1 initial + 3 sleep-retries) on the dead wave
-    assert calls["n"] == 1 + 1 + 3
-    monkeypatch.setattr(hmod, "_scan_wave", real_scan_wave)
+        run_harvest(fx_dir, out, cfg=cfg, resume=False)
+    # 1 initial + 3 sleep-retries of bucket 9, one scan of every other
+    assert sum(p.endswith("part-09.parquet") for p in submits) == 1 + 3
+    assert len(submits) == 31 + 1 + 3
+    monkeypatch.undo()
     s = run_harvest(fx_dir, out, resume=True)
-    assert s["resumed_skipped"] == list(range(8))  # first wave persisted
+    assert s["resumed_skipped"] == [b for b in range(32) if b != 9]
     ref = run_harvest(fx_dir, str(tmp_path / "ref"), resume=False)
     assert s["rows_out_total"] == ref["rows_out_total"]
 
 
 def test_kill_switch_drains_and_resumes(fx_dir, tmp_path):
-    """C4 cooperative kill switch: should_continue=False after the
-    first wave drains the run between waves; the resumed run completes
-    the rest and totals match an uninterrupted run (reference:
+    """C4 cooperative kill switch, polled before each bucket's scan is
+    submitted: after 8 buckets have started it says stop, the started
+    ones finish and commit, and the resumed run completes the rest
+    with totals equal to an uninterrupted run (reference:
     LogAggregator.active poll, v1/NodeCommunication.java:58-63)."""
+    from d1_log_aggregation_ray.state.manifest import Manifest
+
     out = str(tmp_path / "out")
-    waves = {"n": 0}
+    polls = {"n": 0}
 
-    def one_wave_only():
-        waves["n"] += 1
-        return waves["n"] <= 1
+    def first_eight_only():
+        polls["n"] += 1
+        return polls["n"] <= 8
 
-    s1 = run_harvest(fx_dir, out, resume=False, wave_size=8,
-                     should_continue=one_wave_only)
+    s1 = run_harvest(fx_dir, out, resume=False,
+                     should_continue=first_eight_only)
     assert s1["stopped_early"] is True
-    assert s1["buckets"] == 8  # exactly one committed wave
+    assert polls["n"] == 9  # one poll per started bucket, then the stop
+    assert s1["buckets"] == 8
+    committed = sorted(Manifest(f"{out}/_manifest.jsonl").completed_buckets())
+    assert len(committed) == 8
     s2 = run_harvest(fx_dir, out, resume=True)
     assert s2["stopped_early"] is False
-    assert s2["resumed_skipped"] == list(range(8))
+    assert s2["resumed_skipped"] == committed
     ref = run_harvest(fx_dir, str(tmp_path / "ref"), resume=False)
     for k in ("rows_out_total", "in_partial_list", "in_full_list",
               "is_repeat_visit", "max_ts"):
         assert s2[k] == ref[k], k
     assert _read_keys(out) == _read_keys(str(tmp_path / "ref"))
+
+
+def test_no_bucket_waits_for_another(fx_dir, tmp_path, monkeypatch):
+    """Buckets commit one by one: while bucket 0's scan is held back
+    for about 5 s, at least 8 other buckets commit their manifest
+    records before it does, and the run's totals are unchanged."""
+    import time
+    import ray
+    from d1_log_aggregation_ray.pipelines import harvest as hmod
+
+    real_scan = hmod.scan_bucket
+
+    @ray.remote(num_cpus=1, num_returns="streaming")
+    def slow_scan(path, *args):
+        if path.endswith("part-00.parquet"):
+            time.sleep(5)
+        yield from real_scan(path, *args)
+
+    monkeypatch.setattr(hmod, "_scan_bucket", slow_scan)
+    out = str(tmp_path / "out")
+    s = run_harvest(fx_dir, out, resume=False)
+    order = [json.loads(l)["bucket"] for l in open(f"{out}/_manifest.jsonl")]
+    assert sorted(order) == list(range(32))
+    assert order.index(0) >= 8, order
+    monkeypatch.undo()
+    ref = run_harvest(fx_dir, str(tmp_path / "ref"), resume=False)
+    for k in ("rows_out_total", "in_partial_list", "in_full_list",
+              "is_repeat_visit", "max_ts"):
+        assert s[k] == ref[k], k
 
 
 def test_reconcile_added_and_removed_buckets(fx_dir, tmp_path):
@@ -181,7 +224,7 @@ def test_reconcile_added_and_removed_buckets(fx_dir, tmp_path):
 
 
 def test_kill_file_stops_run(fx_dir, tmp_path):
-    """The `<out>/_KILL` file variant: pre-created -> zero waves run."""
+    """The `<out>/_KILL` file variant: pre-created -> no bucket runs."""
     import os
     out = str(tmp_path / "out")
     os.makedirs(out, exist_ok=True)
@@ -286,9 +329,9 @@ def test_read_task_retry_recovers_without_wave_restart(fx_dir, tmp_path,
                                                        monkeypatch):
     """C5 at TASK granularity: a transient in-task read failure is
     retried by Ray (max_retries + retry_exceptions on the per-bucket
-    load task) — with the driver-side wave retry DISABLED
+    load task) — with the driver-side bucket retry DISABLED
     (source_retry_attempts=0), the run still completes with correct
-    totals, proving recovery happened inside the task, not the wave."""
+    totals, proving recovery happened inside the task."""
     import dataclasses
     import os
     from d1_log_aggregation_ray.config import DEFAULT_CONFIG
