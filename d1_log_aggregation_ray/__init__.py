@@ -23,8 +23,9 @@ worker-cached Enricher, there is no exchange (the input is bucketed by
 conv hash), and writes are partition-atomic with a resumable
 checkpoint manifest.  Registry queries return Ray Data Datasets, but
 their per-bucket stages are raw Ray tasks too, one per file: the
-bucket scans (`sources.readers.scan_buckets`), the JSONL export and
-the sink compaction.  Keyed queries group through
+bucket scans (`sources.readers.scan_buckets`, which every transcript
+query reads through: the package has no other transcript reader),
+the JSONL export and the sink compaction.  Keyed queries group through
 `functions.parts.exchange`, a raw M x P Ray-task hash exchange that
 runs eagerly and never emits an empty partition.
 """

@@ -25,8 +25,7 @@ import ray.data
 from ..config import DEFAULT_CONFIG
 from ..functions.parts import arrow_block_refs, collect, exchange, top_n
 from ..gen.fixtures import generate_fixtures
-from ..sources.readers import (read_transcripts, load_side_tables,
-                               scan_buckets)
+from ..sources.readers import load_side_tables, scan_buckets
 from ..stages.aggregate import hash_partition_aggregate
 from ..stages.project import clean_project
 from ..stages.parse import regex_flags
@@ -50,10 +49,21 @@ def _fx(sf_dir: str) -> str:
     return generate_fixtures(sf_dir)
 
 
-def _clean(sf_dir: str) -> ray.data.Dataset:
-    fx = _fx(sf_dir)
-    return read_transcripts(fx).map_batches(
-        clean_project, batch_format="pyarrow", zero_copy_batch=True)
+def _bucket_scan(sf_dir: str, scan_fn,
+                 columns: list[str] | None = None) -> ray.data.Dataset:
+    """Shuffle-free whole-bucket scan (the repeat_visit shape): one
+    task per conv-hash bucket, vectorized per-conv segments inside."""
+    return ray.data.from_arrow_refs(
+        scan_buckets(_fx(sf_dir), scan_fn, columns))
+
+
+def _clean(sf_dir: str, columns: list[str], fn=None) -> ray.data.Dataset:
+    """clean_project over each whole bucket file, then `fn` (if any),
+    keeping `columns`: all of it inside the bucket's task."""
+    def scan(b: pa.Table) -> pa.Table:
+        t = clean_project(b)
+        return (fn(t) if fn else t).select(columns)
+    return _bucket_scan(sf_dir, scan)
 
 
 # --------------------------------------------------------------------------
@@ -62,56 +72,46 @@ def _clean(sf_dir: str) -> ray.data.Dataset:
 
 def q_clean_project(sf_dir: str):
     """M1/M2/M5: validity filter + key + version tag."""
-    return _clean(sf_dir).select_columns(
-        ["turn_id", "conv_id", "turn_idx", "role", "version_compliance"])
+    return _clean(sf_dir, ["turn_id", "conv_id", "turn_idx", "role",
+                           "version_compliance"])
 
 
 def q_parse_flags(sf_dir: str):
     """R1-R3: union-compiled regex banks (pre-membership flags)."""
     side = load_side_tables(_fx(sf_dir))
-    ds = _clean(sf_dir).map_batches(
-        regex_flags, batch_format="pyarrow", zero_copy_batch=True,
-        fn_kwargs={"partial_union": side.partial_union,
-                   "full_union": side.full_union})
-    return ds.select_columns(["turn_id", "in_partial_list", "in_full_list"])
+    partial, full = side.partial_union, side.full_union
+    return _clean(sf_dir, ["turn_id", "in_partial_list", "in_full_list"],
+                  lambda t: regex_flags(t, partial, full))
 
 
-def _enrich_tasks(ds: ray.data.Dataset, fx: str,
-                  light: bool = False) -> ray.data.Dataset:
-    """Enrichment through the flagship's row terminal (a task per
-    batch over a worker-global cached Enricher)."""
+def _enriched(sf_dir: str, columns: list[str], light: bool = False):
+    """Enrichment through the flagship's row terminal inside each
+    bucket task.  The side-table ref rides in the scan function's
+    closure, so Ray leaves it unresolved and _get_enricher's
+    per-worker cache (keyed by the ref) hits."""
     from .harvest import _enrich_rows
     from ..stages.enrich import DEFAULT_RUN_TS
-    return ds.map_batches(
-        _enrich_rows, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=CFG.batch_size,
-        fn_kwargs={"side_ref": ray.put(load_side_tables(fx)), "cfg": CFG,
-                   "run_ts": DEFAULT_RUN_TS, "light": light})
-
-
-def _enriched_no_window(sf_dir: str) -> ray.data.Dataset:
-    fx = _fx(sf_dir)
-    return _enrich_tasks(_clean(sf_dir), fx)
+    side_ref = ray.put(load_side_tables(_fx(sf_dir)))
+    return _clean(sf_dir, columns, lambda t: _enrich_rows(
+        t, side_ref, CFG, DEFAULT_RUN_TS, light))
 
 
 def q_membership_flags(sf_dir: str):
     """R2/R3 + J5: flags after the membership/range semi-join."""
-    return _enriched_no_window(sf_dir).select_columns(
-        ["turn_id", "in_partial_list", "in_full_list"])
+    return _enriched(sf_dir, ["turn_id", "in_partial_list", "in_full_list"])
 
 
 def q_enrich_meta(sf_dir: str):
     """J1/J2/J3: conv_meta broadcast join + tool-family lookup."""
-    return _enriched_no_window(sf_dir).select_columns(
-        ["turn_id", "format_id", "series_id", "size", "rights_holder",
-         "tool_family"])
+    return _enriched(sf_dir, ["turn_id", "format_id", "series_id", "size",
+                              "rights_holder", "tool_family"])
 
 
 def q_geo_enrich(sf_dir: str):
     """J4: per-conv synthetic geo (the SQL-expressible columns).
     DISTINCT conv via the hash-partition aggregate (conv cardinality)."""
-    ds = hash_partition_aggregate(
-        _clean(sf_dir).select_columns(["conv_id"]), ["conv_id"], [])
+    ds = hash_partition_aggregate(_clean(sf_dir, ["conv_id"]),
+                                  ["conv_id"], [])
 
     def add_geo(batch: pa.Table) -> pa.Table:
         # the Enricher's geo formulation, over md5 per unique conv
@@ -158,10 +158,9 @@ def _group_sum(t: pa.Table, keys, cols: list[str]) -> pa.Table:
 def q_route_counts(sf_dir: str):
     """S6/A2: per-sink routed-row counts + flag totals (light enricher:
     flags + routing only, no unused enrichment columns)."""
-    fx = _fx(sf_dir)
-    ds = _enrich_tasks(_clean(sf_dir), fx, light=True)
-    ds = ds.select_columns(["sink_id", "in_partial_list", "in_full_list"])
-    return _flag_counts(ds, "sink_id", ["in_partial_list", "in_full_list"])
+    flags = ["in_partial_list", "in_full_list"]
+    return _flag_counts(_enriched(sf_dir, ["sink_id"] + flags, light=True),
+                        "sink_id", flags)
 
 
 def q_watermark(sf_dir: str):
@@ -187,22 +186,21 @@ def q_watermark(sf_dir: str):
 
 
 def q_watermark_salted(sf_dir: str):
-    """A1 watermark via a per-batch pre-aggregated groupby (hot
+    """A1 watermark via a per-block pre-aggregated groupby (hot
     conv_ids, S3 analog): same result as q_watermark, but a mega conv
-    contributes one partial row per input block to the exchange
-    instead of all its rows — the general-path answer when inputs are
-    NOT pre-bucketed.  (The name predates the removal of a salt that
-    never reached the partition key.)"""
+    contributes one partial row per input block (here one per bucket
+    file) to the exchange instead of all its rows — the general-path
+    answer when inputs are NOT pre-bucketed.  (The name predates the
+    removal of a salt that never reached the partition key.)"""
     from ..stages.aggregate import count_max
-    ds = _clean(sf_dir).select_columns(["conv_id", "ts"])
-    return count_max(ds, "conv_id", "ts").select_columns(
-        ["conv_id", "n_turns", "max_ts"])
+    return count_max(_clean(sf_dir, ["conv_id", "ts"]), "conv_id",
+                     "ts").select_columns(["conv_id", "n_turns", "max_ts"])
 
 
 def q_repeat_visit(sf_dir: str):
     """W1: repeat-visit flags for gated rows (order-dependent window).
-    Uses the shuffle-free bucket scan (input is conv-hash partitioned);
-    the general groupby path is stages.window.repeat_visit_group."""
+    Uses the shuffle-free bucket scan (input is conv-hash partitioned,
+    and bucket_window_scan's guard checks it)."""
     from ..stages.window import bucket_window_scan
     ds = _bucket_scan(sf_dir, lambda b: bucket_window_scan(
         clean_project(b), check_bucket=True))
@@ -1610,12 +1608,6 @@ def q_event_seq(sf_dir: str):
                                    zero_copy_batch=True), "u", rank)
 
 
-def _bucket_scan(sf_dir: str, scan_fn) -> ray.data.Dataset:
-    """Shuffle-free whole-bucket scan (the repeat_visit shape): one
-    task per conv-hash bucket, vectorized per-conv segments inside."""
-    return ray.data.from_arrow_refs(scan_buckets(_fx(sf_dir), scan_fn))
-
-
 def q_sft_pairs(sf_dir: str):
     """SFT prompt/response pair extraction: each assistant turn paired
     with the nearest preceding user turn in its conversation — a
@@ -1803,10 +1795,9 @@ def q_cum_chars(sf_dir: str):
 def q_role_length_quantiles(sf_dir: str):
     """Per-role exact text-length quantiles (median + p90) via the
     grouped (key, value)-histogram exchange — the grouped-quantile
-    operator a curation pipeline needs for per-slice length gates."""
+    operator a curation pipeline needs for per-slice length gates.
+    Each bucket task reads three columns and emits (role, len)."""
     from ..ops.relational import grouped_quantiles
-    fx = _fx(sf_dir)
-    ds = read_transcripts(fx, columns=["conv_id", "role", "text"])
 
     def lengths(batch: pa.Table) -> pa.Table:
         conv = batch.column("conv_id")
@@ -1821,19 +1812,17 @@ def q_role_length_quantiles(sf_dir: str):
                            pa.int64()),
         })
 
-    lens = ds.map_batches(lengths, batch_format="pyarrow",
-                          zero_copy_batch=True)
+    lens = _bucket_scan(sf_dir, lengths, ["conv_id", "role", "text"])
     return grouped_quantiles(lens, "role", "len", [0.5, 0.9])
 
 
 def q_top_tool_per_conv(sf_dir: str):
     """Most-used tool per conversation (mode with smallest-value tie
-    break) — the argmax-per-group operator: per-batch (conv, tool)
-    count combiner, one hash-partition exchange, vectorized winner
-    pick per partition."""
+    break) — the argmax-per-group operator: each bucket task drops
+    rows without a conv or tool, grouped_mode's (conv, tool) count
+    combiner collapses each bucket's block, one hash-partition
+    exchange, vectorized winner pick per partition."""
     from ..ops.relational import grouped_mode
-    fx = _fx(sf_dir)
-    ds = read_transcripts(fx, columns=["conv_id", "tool"])
 
     def clean(batch: pa.Table) -> pa.Table:
         conv = batch.column("conv_id")
@@ -1843,24 +1832,21 @@ def q_top_tool_per_conv(sf_dir: str):
             pc.and_kleene(tool.is_valid(), pc.not_equal(tool, "")))
         return batch.filter(pc.fill_null(keep, False))
 
-    cleaned = ds.map_batches(clean, batch_format="pyarrow",
-                             zero_copy_batch=True)
+    cleaned = _bucket_scan(sf_dir, clean, ["conv_id", "tool"])
     return grouped_mode(cleaned, "conv_id", "tool", out_val="top_tool")
 
 
 def q_rollup_counts(sf_dir: str):
     """Turn counts by (role, tool) with ROLLUP subtotals (grouping
-    sets): leaf counts combine per batch, merge in one hash-partition
-    exchange keyed on role (so each role's subtotal is derivable
-    inside its partition scan); only the vocabulary-bounded
+    sets): leaf counts combine inside each bucket task, merge in one
+    hash-partition exchange keyed on role (so each role's subtotal is
+    derivable inside its partition scan); only the vocabulary-bounded
     leaf+subtotal table reaches the driver, where the single grand-
     total row is appended (the value_quantiles bounded-collect
     precedent).  NULL markers follow SQL ROLLUP: tool IS NULL on role
     subtotals, both NULL on the grand total; real NULL tools are
     folded to '' first (as the oracle does) so markers are
     unambiguous."""
-    fx = _fx(sf_dir)
-    ds = read_transcripts(fx, columns=["conv_id", "role", "tool"])
 
     def partial(batch: pa.Table) -> pa.Table:
         conv = batch.column("conv_id")
@@ -1889,8 +1875,8 @@ def q_rollup_counts(sf_dir: str):
             "n": pc.cast(sub.column("c_sum_sum"), pa.int64())})
         return pa.concat_tables([leaf, subt])
 
-    parts = exchange(ds.map_batches(partial, batch_format="pyarrow",
-                                    zero_copy_batch=True), "role", scan)
+    parts = exchange(_bucket_scan(sf_dir, partial,
+                                  ["conv_id", "role", "tool"]), "role", scan)
     blocks = ray.get(arrow_block_refs(parts))
     if not blocks:
         return _empty

@@ -1,3 +1,3 @@
-from .readers import read_transcripts, load_side_tables, SideTables
+from .readers import load_side_tables, SideTables
 
-__all__ = ["read_transcripts", "load_side_tables", "SideTables"]
+__all__ = ["load_side_tables", "SideTables"]

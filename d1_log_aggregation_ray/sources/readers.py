@@ -2,11 +2,11 @@
 
 Reference analogs:
   - S1/S2 paginated node log readers (v1/v2 NodeCommunication.java:44-160)
-    -> one bucket file per task: `scan_buckets` here, the harvest's
-    scan task in pipelines/harvest.py.  A conv-hash bucket file is the
-    node analog, read whole with an in-task retry.  `read_transcripts`
-    (`ray.data.read_parquet`) serves the queries that need no
-    whole-bucket blocks.
+    -> one bucket file per task: `scan_buckets` here (every registry
+    query over the transcripts), the harvest's scan task in
+    pipelines/harvest.py.  A conv-hash bucket file is the node analog,
+    read whole with an in-task retry; it is the only way the package
+    reads the transcript corpus.
   - S5 robot/IP/GeoIP side-input loaders (LogHarvesterTask.java:237-294)
     -> driver-side pyarrow reads, packed into a small `SideTables` struct
     that is `ray.put` once and shared by every enrich task (broadcast,
@@ -27,7 +27,6 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray
-import ray.data
 
 
 #: read retry budget of a bucket-file task: a transient OSError (flaky
@@ -79,15 +78,6 @@ def bucket_paths(fx_dir: str) -> dict[int, str]:
         if m:
             out[int(m.group(1))] = p
     return out
-
-
-def read_transcripts(fx_dir: str,
-                     columns: list[str] | None = None) -> ray.data.Dataset:
-    """Read the whole transcript corpus as a Dataset (Ray splits the
-    files into blocks as it likes; for whole-bucket blocks use
-    scan_buckets)."""
-    return ray.data.read_parquet(list(bucket_paths(fx_dir).values()),
-                                 columns=columns)
 
 
 @ray.remote(num_cpus=1)

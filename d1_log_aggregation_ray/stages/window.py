@@ -19,8 +19,9 @@ state never crosses (conv_id, role) boundaries, so it parallelizes as a
 sort + sequential scan per conv.  The harvest and the registry run it
 with NO exchange: the corpus is conv-hash partitioned, so
 bucket_window_scan processes one whole bucket block per task, early on
-the narrow 6-column input.  repeat_visit_group is the per-conv form for
-inputs without that partitioning (under groupby("conv_id")).
+the narrow 6-column input.  No query or pipeline runs
+repeat_visit_group: it is the one-conv-at-a-time reference that the
+tests hold bucket_window_scan to.
 
 Scale note: a single conv is the unit of sequential work; the scan is a
 tight loop over int64 ns values, ~10M turns/s/core.  Pathologically hot
@@ -70,9 +71,9 @@ def bucket_window_scan(batch: pa.Table,
     conv_id, and at 100 TB scale the bucket count scales with the data
     while this per-bucket scan stays a single vectorized sort + one
     linear pass).  This replaces groupby(conv_id).map_groups: no
-    all-to-all exchange and no per-group Python overhead.  For inputs
-    WITHOUT the bucket guarantee, use repeat_visit_group under
-    groupby() instead.
+    all-to-all exchange and no per-group Python overhead.  Every
+    caller in the package reads whole bucket files; `check_bucket`
+    verifies the contract and raises when a block breaks it.
     """
     batch = batch.combine_chunks().sort_by(
         [("conv_id", "ascending"), ("turn_idx", "ascending")])
@@ -109,7 +110,7 @@ def bucket_window_scan(batch: pa.Table,
             raise AssertionError(
                 f"bucket_window_scan got a block spanning {len(bvals)} "
                 "conv-hash buckets — the whole-bucket partitioning contract "
-                "is broken (use the groupby repeat_visit_group path)")
+                "is broken (pass whole bucket files, one per block)")
 
     repeat = np.zeros(n, dtype=bool)
     ts = batch.column("ts").combine_chunks()
@@ -148,9 +149,10 @@ def bucket_window_scan(batch: pa.Table,
 
 def repeat_visit_group(group: pa.Table,
                        cfg: PipelineConfig = DEFAULT_CONFIG) -> pa.Table:
-    """map_groups fn: one conv. Sort by turn_idx (the explicit ordering
-    invariant, O1 — the reference merely *assumed* chronological order),
-    then scan each gated role's turns."""
+    """One conv's repeat-visit flags, the per-conv reference for
+    bucket_window_scan (tests only).  Sort by turn_idx (the explicit
+    ordering invariant, O1 — the reference merely *assumed*
+    chronological order), then scan each gated role's turns."""
     group = group.sort_by("turn_idx")
     tix = group.column("turn_idx").combine_chunks().to_numpy(zero_copy_only=False)
     dup = np.zeros(len(tix), dtype=bool)

@@ -79,20 +79,28 @@ def _exported_rows(man) -> list[tuple]:
 
 def test_registry_bucket_stages_run_no_from_items(fx_dir, tmp_path,
                                                   monkeypatch):
-    """With ray.data.from_items refused, the bucket-scan queries and
-    q_watermark still match their DuckDB oracles, the export writes
-    every valid turn once, and compaction merges every multi-file
-    leaf without changing a row."""
+    """With ray.data.from_items and ray.data.read_parquet refused, the
+    bucket-scan queries, q_watermark and every other transcript query
+    still match their DuckDB oracles (they all read through
+    scan_buckets), the export writes every valid turn once, and
+    compaction merges every multi-file leaf without changing a row."""
     import duckdb
     import ray.data
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a per-bucket stage ran ray.data.from_items")
+    def refuse(name):
+        def raise_(*args, **kwargs):
+            raise AssertionError(f"a per-bucket stage ran ray.data.{name}")
+        return raise_
 
-    monkeypatch.setattr(ray.data, "from_items", refuse)
+    for name in ("from_items", "read_parquet"):
+        monkeypatch.setattr(ray.data, name, refuse(name))
     con = duckdb.connect()
     for name in ("conv_dedup", "tool_transitions", "repeat_visit",
-                 "watermark", "fork_dedup"):
+                 "watermark", "fork_dedup",
+                 "clean_project", "parse_flags", "membership_flags",
+                 "enrich_meta", "route_counts", "geo_enrich",
+                 "watermark_salted", "role_length_quantiles",
+                 "top_tool_per_conv", "rollup_counts"):
         _check_query_vs_oracle(name, SF_DIR, con)
 
     man = export_conversations_jsonl(fx_dir, str(tmp_path / "export")
@@ -136,7 +144,7 @@ def test_zero_row_bucket_file(fx_dir, tmp_path, monkeypatch):
     pq.write_table(pq.read_schema(part).empty_table(), part)
     monkeypatch.setattr(queries, "_fx", lambda sf_dir: corpus)
     con = duckdb.connect()
-    for name in ("conv_dedup", "sft_pairs", "watermark"):
+    for name in ("conv_dedup", "sft_pairs", "watermark", "enrich_meta"):
         _check_query_vs_oracle(name, SF_DIR, con)
 
     man = export_conversations_jsonl(corpus, str(tmp_path / "export")

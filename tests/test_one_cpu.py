@@ -1,8 +1,10 @@
 """A 1-CPU cluster runs the harvest, the repeat-visit query, the
-export, the tar-shard export, the compaction and an exchange query to
-completion.  Every per-bucket or per-file task requests exactly 1 CPU:
-a request above 1 CPU could never be scheduled on such a pool, and the
-entry point would hang.  All six run in one subprocess under one timeout."""
+export, the tar-shard export, the compaction, an exchange query, the
+enrich query (the side-table ref captured in its bucket scan function)
+and the rollup query to completion.  Every per-bucket or per-file task
+requests exactly 1 CPU: a request above 1 CPU could never be scheduled
+on such a pool, and the entry point would hang.  All eight run in one
+subprocess under one timeout."""
 
 import json
 import os
@@ -25,7 +27,9 @@ import ray
 ray.init(address="local", num_cpus=1, include_dashboard=False)
 from d1_log_aggregation_ray.pipelines.harvest import run_harvest
 from d1_log_aggregation_ray.pipelines.queries import (q_conv_dedup,
-                                                      q_repeat_visit)
+                                                      q_enrich_meta,
+                                                      q_repeat_visit,
+                                                      q_rollup_counts)
 from d1_log_aggregation_ray.sources.compact import compact_output
 from d1_log_aggregation_ray.sources.export import export_conversations_jsonl
 from d1_log_aggregation_ray.sources.export_tar import export_tar_shards
@@ -38,13 +42,18 @@ conv = q_conv_dedup(fx).take_all()
 docs = ray.data.read_parquet(docs, columns=["doc_id", "text"])
 tar = export_tar_shards(docs, os.path.join(out, "tar"),
                         capacity=8192).take_all()
+meta = q_enrich_meta(fx).count()
+roll = q_rollup_counts(fx)
+grand = roll.filter(roll.column("role").is_null())
 print(json.dumps({"rows": s["rows_out_total"],
                   "repeat": s["is_repeat_visit"],
                   "q_repeat": sum(bool(r["is_repeat_visit"]) for r in rv),
                   "export_turns": sum(r["n_turns"] for r in exp),
                   "compact_leaves": len(comp),
                   "conv_dedup": sorted(r["conv_id"] for r in conv),
-                  "tar_paths": [r["path"] for r in tar]}))
+                  "tar_paths": [r["path"] for r in tar],
+                  "enrich_meta": meta,
+                  "rollup_total": grand.column("n").to_pylist()}))
 ray.shutdown()
 """
 
@@ -74,6 +83,8 @@ def test_harvest_on_one_cpu(fx_dir, tmp_path):
     got = json.loads(out.strip().splitlines()[-1])
     want = oracle_enriched(fx_dir)
     assert got["rows"] == len(want)
+    assert got["enrich_meta"] == len(want)
+    assert got["rollup_total"] == [len(want)]
     assert got["repeat"] == int(want["is_repeat_visit"].sum()) > 0
     assert got["q_repeat"] == got["repeat"]
     conv = pq.read_table(os.path.join(fx_dir, "transcripts"),
