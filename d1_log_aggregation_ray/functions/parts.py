@@ -10,18 +10,21 @@ golden-ratio mix, fixed-size binary by its low 64 bits, everything
 else by md5-low64), and that `fn` never sees a partition without
 rows.  Callers emit a key column and never a partition id; a key
 that is already a 64-bit hash is passed as an int64 or uint64 column
-so it is mixed, never md5'd again.  A join passes its sides as a
-sequence of Datasets: each keeps its own columns, and `fn` receives
+so it is mixed, never md5'd again.  An input is a Dataset or a list
+of block refs (the bucket scans' pending tasks: no Dataset is built
+between a scan and its shuffle).  A join passes its sides as a
+sequence of inputs: each keeps its own columns, and `fn` receives
 one table per side, so no side tag, padding column or union schema
 is built.
 
-The backend is a raw M x P task exchange: one mapper task per
-non-empty block of every input cuts it into P slices (`part_ids`
-plus one stable argsort) and returns them with its P per-partition
-row counts; one reducer task per partition that received rows from
-any input concatenates each input's slices and calls `fn` once.  No
-sample pass, range sort or merge runs, and no empty partition is
-ever emitted: the output has one block per non-empty partition.
+The backend is a raw M x P task exchange: one mapper task per block
+of every input, submitted once that block exists, cuts it into P
+slices (`part_ids` plus one stable argsort) and returns them with
+its P per-partition row counts (zero for a zero-row block).  One
+reducer task per partition that received rows from any input
+concatenates each input's slices and calls `fn` once.  No sample
+pass, range sort or merge runs, and no empty partition is ever
+emitted: the output has one block per non-empty partition.
 `exchange` runs its inputs (one after another) and both task rounds
 when it is called (not lazily) and returns a materialized Dataset;
 up to M x P slices sit in the object store at once, the same bound a
@@ -31,9 +34,9 @@ unspecified; only the set of output rows is.  Partitioning
 assumption: one partition of the shuffled rows fits in a worker's
 heap; P scales with the cluster, so at N x the data on N x the nodes
 the per-partition size is constant.  An exception in a mapper or in
-`fn` comes back in the task's own count or error slot, so a failure
-in several tasks raises the first one and leaves no failed task
-behind.
+`fn` (or in a block's producer) comes back in the task's own count or
+error slot, so a failure in several tasks raises the first one and
+leaves no failed task behind.
 
 `exchange_groups(ds, key, fn)` is the per-value form: each reducer
 stable-sorts its partition on `key` and calls `fn` once per run of
@@ -51,7 +54,6 @@ tree's fan-in and the driver's bound live here.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import traceback
 from typing import Callable, Sequence
@@ -130,19 +132,28 @@ def part_ids(col, n_parts: int) -> np.ndarray:
 
 
 @ray.remote
-def _split(block, key: str, n_parts: int) -> tuple:
-    """Mapper: (rows per partition, *one slice per partition), or
-    (its exception with the worker's traceback as a note, *P empty
-    tables): a mapper never fails, so no return of it is left for Ray
-    to log as an unhandled error."""
+def _split(block: list, key: str, n_parts: int) -> tuple:
+    """Mapper over the block ref `block[0]` (nested, so a failed
+    producer is one more mapper error): (rows per partition, *one
+    slice per partition; zero counts for a zero-row block), or (its
+    exception with the worker's traceback as a note, *P empty tables):
+    a mapper never fails, so no return of it is left for Ray to log
+    as an unhandled error."""
     try:
-        block = BlockAccessor.for_block(block).to_arrow()
+        block = BlockAccessor.for_block(ray.get(block[0])).to_arrow()
+        if not block.num_rows:
+            return (np.zeros(n_parts, np.int64), *[block] * n_parts)
         p = part_ids(block.column(key), n_parts)
         block = block.take(pa.array(np.argsort(p, kind="stable")))
         counts = np.bincount(p, minlength=n_parts)
         ends = np.cumsum(counts)
         return (counts,
                 *(block.slice(e - c, c) for e, c in zip(ends, counts)))
+    except ray.exceptions.RayTaskError as e:
+        # the producer's own exception: a RayTaskError in a return
+        # would fail this task instead
+        e.cause.add_note(str(e))
+        return (e.cause, *[pa.table({})] * n_parts)
     except Exception as e:
         e.add_note(traceback.format_exc())
         return (e, *[pa.table({})] * n_parts)
@@ -152,29 +163,39 @@ def _split(block, key: str, n_parts: int) -> tuple:
 def _reduce(fn, *slices, lens: tuple | None = None) -> tuple:
     """Reducer: (fn's table, None), or (an empty table, fn's exception
     with the worker's traceback as a note).  `lens` cuts `slices` into
-    one run per input (one input when None).  A reducer never fails,
-    so no task reading its table fails and is left for Ray to log as
-    an unhandled error."""
+    one run per input (one input when None); each run's typed slices
+    make one table, `pa.table({})` when none is typed.  A reducer
+    never fails, so no task reading its table fails and is left for
+    Ray to log as an unhandled error."""
     try:
         lens = lens or (len(slices),)
-        return fn(*(pa.concat_tables(slices[e - n:e],
-                                     promote_options="default")
+        return fn(*(concat_typed(slices[e - n:e])
                     for e, n in zip(np.cumsum(lens), lens))), None
     except Exception as e:
         e.add_note(traceback.format_exc())
         return pa.table({}), e
 
 
-def _empty_of(ds: ray.data.Dataset) -> pa.Table:
-    """`ds`'s zero-row table (`pa.table({})` when it has no schema);
-    `ds.schema()` runs the plan to find it."""
-    found = ds.schema()
-    if found is None:
-        return pa.table({})
-    return getattr(found, "base_schema", found).empty_table()
+Input = ray.data.Dataset | Sequence[ray.ObjectRef]
 
 
-def exchange(ds: ray.data.Dataset | Sequence[ray.data.Dataset], key: str,
+def _map(d: Input, key: str, P: int) -> list:
+    """One mapper per block of `d`, in block order: a Dataset's as it
+    streams out, a ref list's (of distinct refs) each once its task
+    finished (a mapper submitted earlier would block a worker)."""
+    split = _split.options(num_returns=P + 1)
+    if isinstance(d, ray.data.Dataset):
+        return [split.remote([r], key, P)
+                for b in d.iter_internal_ref_bundles() for r in b.block_refs]
+    at = {r: i for i, r in enumerate(d)}
+    outs, pending = [None] * len(d), list(d)
+    while pending:
+        done, pending = ray.wait(pending, fetch_local=False)
+        outs[at[done[0]]] = split.remote(done, key, P)
+    return outs
+
+
+def exchange(ds: Input | Sequence[Input], key: str,
              fn: Callable[..., pa.Table]) -> ray.data.Dataset:
     """Hash-partition `ds` on `key` into hash_parts() partitions and
     return the union of `fn(partition)` over every non-empty one.
@@ -182,48 +203,45 @@ def exchange(ds: ray.data.Dataset | Sequence[ray.data.Dataset], key: str,
     Every row with an equal `key` lands in the same call; one call
     sees many keys, so `fn` is a vectorized scan over its whole
     partition.  `fn` receives the rows' own columns and never a
-    partition without rows.
+    partition without rows.  An input is a Dataset or a list of block
+    refs (pyarrow Tables, e.g. `readers.scan_buckets`' pending tasks):
+    each block's mapper waits only for that block.
 
-    `ds` may be a sequence of Datasets (a join's sides): each must
+    `ds` may be a sequence of inputs (a join's sides): each must
     carry `key`, of one kind across inputs (integer of any width,
     fixed-size binary, or other), and `fn(*parts)` then receives one
     table per input, in input order, for every partition that holds
     rows of ANY input.  An input without rows in that partition
-    arrives as a zero-row table with its columns: one of its mappers'
-    empty slices, or `ds.schema()`'s only when the input has no rows
-    at all.  Such an input may have no schema either (a Ray map never
-    runs on a zero-row block, so a map over no rows yields none); it
-    then arrives as `pa.table({})`, with no columns, in every call.
+    arrives as a zero-row table with its columns when any of its
+    blocks has columns, else as `pa.table({})` (a Ray map never runs
+    on a zero-row block, so a map over no rows yields a schemaless
+    one).
 
     Runs eagerly: the returned Dataset is materialized, one block per
     non-empty partition (none for a zero-row input); an exception in
-    a mapper or in `fn` raises here with its own type."""
-    inputs = [ds] if isinstance(ds, ray.data.Dataset) else list(ds)
+    a block's producer, a mapper or `fn` raises here with its own
+    type."""
+    if isinstance(ds, ray.data.Dataset) or all(
+            isinstance(d, ray.ObjectRef) for d in ds):
+        ds = [ds]
     P = hash_parts()
-    split = _split.options(num_returns=P + 1)
-    # one mapper per block as each input streams out, the inputs one
-    # after another; zero-row blocks may be schemaless (Ray's own maps
-    # never see them) and are skipped
-    outs = [[split.remote(ref, key, P)
-             for bundle in d.iter_internal_ref_bundles()
-             for ref, meta in bundle.blocks if meta.num_rows != 0]
-            for d in inputs]
+    outs = [_map(d, key, P) for d in ds]
     counts = [ray.get([o[0] for o in side]) for side in outs]
     for c in itertools.chain(*counts):
         if isinstance(c, Exception):
             raise c
     fn_ref = ray.put(fn)
-    empty = functools.cache(lambda i: ray.put(_empty_of(inputs[i])))
+    # per input, the mappers whose zero-row slices stand in where it
+    # has no rows: one that had rows (typed), else all of them
+    spare = [next(([o] for o, c in zip(side, cs) if c.any()), side)
+             for side, cs in zip(outs, counts)]
     reduced = []
     for j in range(1, P + 1):
         per = [[o[j] for o, c in zip(side, cs) if c[j - 1]]
                for side, cs in zip(outs, counts)]
         if not any(per):
             continue
-        # an input without rows here: a zero-row slice of its own
-        for i, side in enumerate(outs):
-            if not per[i]:
-                per[i] = [side[0][j] if side else empty(i)]
+        per = [p or [o[j] for o in s] for p, s in zip(per, spare)]
         kw = {"lens": tuple(map(len, per))} if len(per) > 1 else {}
         reduced.append(_reduce.remote(fn_ref, *itertools.chain(*per), **kw))
     out = ray.data.from_arrow_refs([t for t, _ in reduced])
@@ -234,7 +252,7 @@ def exchange(ds: ray.data.Dataset | Sequence[ray.data.Dataset], key: str,
     return out
 
 
-def exchange_groups(ds: ray.data.Dataset, key: str,
+def exchange_groups(ds: Input | Sequence[Input], key: str,
                     fn: Callable[[pa.Table], pa.Table]) -> ray.data.Dataset:
     """`exchange` with `fn` called once per distinct `key` value: each
     reducer stable-sorts its partition on `key`, cuts it into runs of
@@ -358,4 +376,7 @@ def top_n(ds: ray.data.Dataset, n: int, by: list, *,
     out = _concat_cut(ray.get(refs), n, by, per)
     if out.num_columns:
         return out
-    return _empty_of(ds) if schema is None else schema.empty_table()
+    found = ds.schema() if schema is None else schema
+    if found is None:
+        return pa.table({})
+    return getattr(found, "base_schema", found).empty_table()

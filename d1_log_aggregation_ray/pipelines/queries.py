@@ -49,10 +49,18 @@ def _fx(sf_dir: str) -> str:
     return generate_fixtures(sf_dir)
 
 
+#: the columns the tool and the role:text kernels of ops/pairs.py read
+_TOOL_COLS = ["conv_id", "turn_idx", "tool"]
+_TEXT_COLS = ["conv_id", "turn_idx", "role", "text"]
+
+
 def _bucket_scan(sf_dir: str, scan_fn,
                  columns: list[str] | None = None) -> ray.data.Dataset:
     """Shuffle-free whole-bucket scan (the repeat_visit shape): one
-    task per conv-hash bucket, vectorized per-conv segments inside."""
+    task per conv-hash bucket, vectorized per-conv segments inside,
+    as a Dataset for a query whose result is the scan.  A scan that
+    feeds an exchange hands `scan_buckets`' refs to it instead, so
+    each mapper chains on its own bucket's task."""
     return ray.data.from_arrow_refs(
         scan_buckets(_fx(sf_dir), scan_fn, columns))
 
@@ -109,19 +117,19 @@ def q_enrich_meta(sf_dir: str):
 
 def q_geo_enrich(sf_dir: str):
     """J4: per-conv synthetic geo (the SQL-expressible columns).
-    DISTINCT conv via the hash-partition aggregate (conv cardinality)."""
-    ds = hash_partition_aggregate(_clean(sf_dir, ["conv_id"]),
-                                  ["conv_id"], [])
-
-    def add_geo(batch: pa.Table) -> pa.Table:
+    DISTINCT conv per partition of one conv_id exchange (conv
+    cardinality), fed by the bucket scans' refs."""
+    def add_geo(part: pa.Table) -> pa.Table:
         # the Enricher's geo formulation, over md5 per unique conv
         from ..functions.hashing import md5_lower64_array
         from ..stages.enrich import geo_fields
-        h = md5_lower64_array(batch.column("conv_id"))
-        return pa.table({"conv_id": batch.column("conv_id"),
-                         **geo_fields(h)})
+        conv = part.group_by("conv_id").aggregate([]).column("conv_id")
+        return pa.table({"conv_id": conv,
+                         **geo_fields(md5_lower64_array(conv))})
 
-    return ds.map_batches(add_geo, batch_format="pyarrow")
+    return exchange(scan_buckets(
+        _fx(sf_dir), lambda b: clean_project(b).select(["conv_id"])),
+        "conv_id", add_geo)
 
 
 def _flag_counts(ds: ray.data.Dataset, by: str, extra: list[str]):
@@ -181,8 +189,7 @@ def q_watermark(sf_dir: str):
         agg = agg.rename_columns([name_map[c] for c in agg.column_names])
         return agg.select(["conv_id", "n_turns", "max_ts"])
 
-    return ray.data.from_arrow_refs(
-        scan_buckets(_fx(sf_dir), per_bucket, columns=["conv_id", "ts"]))
+    return _bucket_scan(sf_dir, per_bucket, ["conv_id", "ts"])
 
 
 def q_watermark_salted(sf_dir: str):
@@ -193,8 +200,7 @@ def q_watermark_salted(sf_dir: str):
     answer when inputs are NOT pre-bucketed.  (The name predates the
     removal of a salt that never reached the partition key.)"""
     from ..stages.aggregate import count_max
-    return count_max(_clean(sf_dir, ["conv_id", "ts"]), "conv_id",
-                     "ts").select_columns(["conv_id", "n_turns", "max_ts"])
+    return count_max(_clean(sf_dir, ["conv_id", "ts"]), "conv_id", "ts")
 
 
 def q_repeat_visit(sf_dir: str):
@@ -202,14 +208,13 @@ def q_repeat_visit(sf_dir: str):
     Uses the shuffle-free bucket scan (input is conv-hash partitioned,
     and bucket_window_scan's guard checks it)."""
     from ..stages.window import bucket_window_scan
-    ds = _bucket_scan(sf_dir, lambda b: bucket_window_scan(
-        clean_project(b), check_bucket=True))
     gate = pa.array(list(CFG.gate_roles))
 
-    def gated_only(batch: pa.Table) -> pa.Table:
-        m = pc.fill_null(pc.is_in(batch.column("role"), value_set=gate), False)
-        return batch.filter(m).select(["turn_id", "is_repeat_visit"])
-    return ds.map_batches(gated_only, batch_format="pyarrow")
+    def scan(b: pa.Table) -> pa.Table:
+        t = bucket_window_scan(clean_project(b), check_bucket=True)
+        m = pc.fill_null(pc.is_in(t.column("role"), value_set=gate), False)
+        return t.filter(m).select(["turn_id", "is_repeat_visit"])
+    return _bucket_scan(sf_dir, scan)
 
 
 def q_harvest_sink_counts(sf_dir: str):
@@ -230,6 +235,15 @@ def _docs(sf_dir: str):
     return ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
 
 
+def _min_per(key: str, col: str):
+    """exchange fn: min(`col`) per `key` value, as a table of `col`
+    alone (the keep-first row of a dedup)."""
+    def first(part: pa.Table) -> pa.Table:
+        g = part.group_by(key).aggregate([(col, "min")])
+        return pa.table({col: g.column(f"{col}_min")})
+    return first
+
+
 def q_dedup_exact(sf_dir: str):
     """Exact dedup: keep min doc_id per identical text.
 
@@ -238,9 +252,9 @@ def q_dedup_exact(sf_dir: str):
     shuffles the corpus).  128-bit md5 makes hash-group == text-group
     (collision odds ~2^-128 per pair; 64 bits would NOT suffice at
     10^12 docs), so the `GROUP BY text` oracle still matches.  The min
-    per fingerprint runs through the hash-partition aggregate —
-    fingerprints are corpus-cardinality and Ray's native per-group
-    reduce would crawl (stages/aggregate.py)."""
+    per fingerprint is one Arrow group_by in each reducer of one fp
+    exchange — fingerprints are corpus-cardinality and Ray's native
+    per-group reduce would crawl (stages/aggregate.py)."""
     from ..functions.hashing import md5_bytes_array
     ds = _docs(sf_dir).select_columns(["doc_id", "text"])
 
@@ -248,12 +262,9 @@ def q_dedup_exact(sf_dir: str):
         return pa.table({"doc_id": batch.column("doc_id"),
                          "fp": md5_bytes_array(batch.column("text"))})
 
-    agg = hash_partition_aggregate(
-        ds.map_batches(fp, batch_format="pyarrow", zero_copy_batch=True),
-        ["fp"], [("doc_id", "min")])
-    return agg.map_batches(
-        lambda b: b.select(["doc_id_min"]).rename_columns(["doc_id"]),
-        batch_format="pyarrow")
+    return exchange(ds.map_batches(fp, batch_format="pyarrow",
+                                   zero_copy_batch=True), "fp",
+                    _min_per("fp", "doc_id"))
 
 
 def q_doc_fingerprint(sf_dir: str):
@@ -1633,7 +1644,7 @@ def q_tool_loops(sf_dir: str):
     islands over tool-bearing turns) — the stuck-agent retry-loop
     histogram (ops/pairs.tool_loops_scan)."""
     from ..ops.pairs import tool_loops_scan
-    return _bucket_scan(sf_dir, tool_loops_scan)
+    return _bucket_scan(sf_dir, tool_loops_scan, _TOOL_COLS)
 
 
 def q_conv_stats(sf_dir: str):
@@ -1663,7 +1674,8 @@ def q_role_violations(sf_dir: str):
     adjacent same-role turn pairs in turn order (the ordering-sentinel
     analog, ReadEventCounterCache.java:150-160)."""
     from ..ops.pairs import role_violations_scan
-    return _bucket_scan(sf_dir, role_violations_scan)
+    return _bucket_scan(sf_dir, role_violations_scan,
+                        ["conv_id", "turn_idx", "role"])
 
 
 def q_role_repair(sf_dir: str):
@@ -1691,7 +1703,8 @@ def q_turn_latency(sf_dir: str):
     preceding user turn) in microseconds, per conversation — the SFT
     pairing walk applied to timestamps.  Shuffle-free bucket scan."""
     from ..ops.pairs import turn_latency_scan
-    return _bucket_scan(sf_dir, turn_latency_scan)
+    return _bucket_scan(sf_dir, turn_latency_scan,
+                        ["conv_id", "turn_idx", "role", "ts"])
 
 
 def q_tool_transitions(sf_dir: str):
@@ -1700,7 +1713,7 @@ def q_tool_transitions(sf_dir: str):
     of tool-vocabulary² partial rows summed by hash partition — the
     combine-before-shuffle house pattern."""
     from ..ops.pairs import tool_transitions_scan
-    partials = _bucket_scan(sf_dir, tool_transitions_scan)
+    partials = scan_buckets(_fx(sf_dir), tool_transitions_scan, _TOOL_COLS)
     return hash_partition_aggregate(
         partials, ["from_tool", "to_tool"], [("n", "sum")],
         rename={"n_sum": "n"})
@@ -1713,7 +1726,7 @@ def q_tool_trigrams(sf_dir: str):
     cycles (grep→read→grep).  Per-bucket partials + ONE
     tool-vocabulary³-keyed exchange."""
     from ..ops.pairs import tool_trigram_scan
-    partials = _bucket_scan(sf_dir, tool_trigram_scan)
+    partials = scan_buckets(_fx(sf_dir), tool_trigram_scan, _TOOL_COLS)
     return hash_partition_aggregate(
         partials, ["t1", "t2", "t3"], [("n", "sum")],
         rename={"n_sum": "n"})
@@ -1727,7 +1740,7 @@ def q_tool_paths(sf_dir: str):
     path-keyed exchange of (path, n) rows — path cardinality is the
     workflow vocabulary, far below conv count."""
     from ..ops.pairs import tool_path_scan
-    partials = _bucket_scan(sf_dir, tool_path_scan)
+    partials = scan_buckets(_fx(sf_dir), tool_path_scan, _TOOL_COLS)
     return hash_partition_aggregate(
         partials, ["path"], [("n_convs", "sum")],
         rename={"n_convs_sum": "n_convs"})
@@ -1741,7 +1754,8 @@ def q_assistant_templates(sf_dir: str):
     rides alongside once per distinct template per bucket), then
     `top_n` with a string tiebreak."""
     from ..ops.pairs import assistant_template_scan
-    partials = _bucket_scan(sf_dir, assistant_template_scan)
+    partials = scan_buckets(_fx(sf_dir), assistant_template_scan,
+                            _TEXT_COLS)
     agg = hash_partition_aggregate(
         partials, ["h"], [("n", "sum"), ("text", "min")],
         rename={"n_sum": "n", "text_min": "text"})
@@ -1756,20 +1770,20 @@ def q_ooo_turns(sf_dir: str):
     order) — the ingest data-quality sentinel
     (ops/pairs.ooo_turns_scan).  Shuffle-free bucket scan."""
     from ..ops.pairs import ooo_turns_scan
-    return _bucket_scan(sf_dir, ooo_turns_scan)
+    return _bucket_scan(sf_dir, ooo_turns_scan,
+                        ["conv_id", "turn_idx", "ts"])
 
 
 def q_conv_dedup(sf_dir: str):
     """Conversation-level exact dedup: assemble each conv's full
     transcript bucket-locally (Arrow list-join kernels), 128-bit md5
-    fingerprint, then keep min(conv_id) per fingerprint via a
-    hash-partition aggregate — only (16-byte fp, conv_id) pairs cross
-    the exchange, never transcript text."""
+    fingerprint, then keep min(conv_id) per fingerprint in the
+    reducers of one fp exchange fed by the bucket scans' refs — only
+    (16-byte fp, conv_id) pairs cross the exchange, never transcript
+    text."""
     from ..ops.pairs import conv_fingerprint_scan
-    fps = _bucket_scan(sf_dir, conv_fingerprint_scan)
-    return hash_partition_aggregate(
-        fps, ["fp"], [("conv_id", "min")],
-        rename={"conv_id_min": "conv_id"}).select_columns(["conv_id"])
+    return exchange(scan_buckets(_fx(sf_dir), conv_fingerprint_scan,
+                                 _TEXT_COLS), "fp", _min_per("fp", "conv_id"))
 
 
 def q_fork_dedup(sf_dir: str):
@@ -1781,8 +1795,8 @@ def q_fork_dedup(sf_dir: str):
     hash exchange of (pfp, depth, n_turns, conv_id) rows — never text —
     and a vectorized survivor scan per fingerprint partition."""
     from ..ops.pairs import fork_dedup_partition, prefix_chain_scan
-    return exchange(_bucket_scan(sf_dir, prefix_chain_scan), "h64",
-                    fork_dedup_partition)
+    return exchange(scan_buckets(_fx(sf_dir), prefix_chain_scan,
+                                 _TEXT_COLS), "h64", fork_dedup_partition)
 
 
 def q_cum_chars(sf_dir: str):
@@ -1875,7 +1889,7 @@ def q_rollup_counts(sf_dir: str):
             "n": pc.cast(sub.column("c_sum_sum"), pa.int64())})
         return pa.concat_tables([leaf, subt])
 
-    parts = exchange(_bucket_scan(sf_dir, partial,
+    parts = exchange(scan_buckets(_fx(sf_dir), partial,
                                   ["conv_id", "role", "tool"]), "role", scan)
     blocks = ray.get(arrow_block_refs(parts))
     if not blocks:

@@ -23,10 +23,10 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..functions.parts import exchange
+from ..functions.parts import Input, exchange
 
 
-def hash_partition_aggregate(ds: ray.data.Dataset, keys: list[str],
+def hash_partition_aggregate(ds: Input, keys: list[str],
                              aggs: list[tuple], rename: dict | None = None
                              ) -> ray.data.Dataset:
     """groupby(keys).aggregate(...) for HIGH-CARDINALITY keys.
@@ -70,19 +70,14 @@ def count_max(ds: ray.data.Dataset, key: str, ts_col: str,
                     f"{ts_col}_max": out_max}
         return agg.rename_columns([name_map[c] for c in agg.column_names])
 
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    # final merge via the high-cardinality hash-partition aggregate
-    # (conv-count keys would crawl through Ray's per-group reduce)
-    merged = hash_partition_aggregate(
-        partials, [key],
-        [(out_count, "sum"), (out_max, "max")],
-        rename={f"{out_count}_sum": out_count, f"{out_max}_max": out_max})
+    def merge(group: pa.Table) -> pa.Table:
+        g = group.group_by(key).aggregate(
+            [(out_count, "sum"), (out_max, "max")])
+        return pa.table({
+            key: g.column(key),
+            out_count: pc.cast(g.column(f"{out_count}_sum"), pa.int64()),
+            out_max: g.column(f"{out_max}_max")})
 
-    def finish(batch: pa.Table) -> pa.Table:
-        cols = {key: batch.column(key),
-                out_count: pc.cast(batch.column(out_count), pa.int64()),
-                out_max: batch.column(out_max)}
-        return pa.table(cols)
-
-    return merged.map_batches(finish, batch_format="pyarrow")
+    # one exchange merges the partials and builds the output columns
+    return exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                   zero_copy_batch=True), key, merge)

@@ -19,9 +19,8 @@ state never crosses (conv_id, role) boundaries, so it parallelizes as a
 sort + sequential scan per conv.  The harvest and the registry run it
 with NO exchange: the corpus is conv-hash partitioned, so
 bucket_window_scan processes one whole bucket block per task, early on
-the narrow 6-column input.  No query or pipeline runs
-repeat_visit_group: it is the one-conv-at-a-time reference that the
-tests hold bucket_window_scan to.
+the narrow 6-column input.  The tests hold it to a one-conv-at-a-time
+reference (tests/window_reference.py).
 
 Scale note: a single conv is the unit of sequential work; the scan is a
 tight loop over int64 ns values, ~10M turns/s/core.  Pathologically hot
@@ -145,34 +144,3 @@ def bucket_window_scan(batch: pa.Table,
         repeat[idx] = out
 
     return batch.append_column("is_repeat_visit", pa.array(repeat))
-
-
-def repeat_visit_group(group: pa.Table,
-                       cfg: PipelineConfig = DEFAULT_CONFIG) -> pa.Table:
-    """One conv's repeat-visit flags, the per-conv reference for
-    bucket_window_scan (tests only).  Sort by turn_idx (the explicit
-    ordering invariant, O1 — the reference merely *assumed*
-    chronological order), then scan each gated role's turns."""
-    group = group.sort_by("turn_idx")
-    tix = group.column("turn_idx").combine_chunks().to_numpy(zero_copy_only=False)
-    dup = np.zeros(len(tix), dtype=bool)
-    dup[1:] = tix[1:] == tix[:-1]
-    if dup.any():  # D1: keep-first on the natural key
-        group = group.filter(pa.array(~dup))
-    n = group.num_rows
-    repeat = np.zeros(n, dtype=bool)
-
-    roles = group.column("role")
-    ts = group.column("ts").combine_chunks()
-    ts_us = ts.cast(pa.int64()).fill_null(0).to_numpy(zero_copy_only=False)
-    ts_ok = ts.is_valid().to_numpy(zero_copy_only=False)
-    interval_end_us = cfg.repeat_visit_interval_end_s * 1_000_000
-
-    for role in cfg.gate_roles:
-        mask = pc.fill_null(pc.equal(roles, role), False).to_numpy(zero_copy_only=False)
-        idx = np.nonzero(mask)[0]
-        if len(idx) == 0:
-            continue
-        repeat[idx] = repeat_visit_scan(ts_us[idx], ts_ok[idx], interval_end_us)
-
-    return group.append_column("is_repeat_visit", pa.array(repeat))

@@ -193,8 +193,11 @@ def test_pq_codes_parallelism_independent(corpus):
     path, ids, mat = corpus
 
     def run(nblocks):
-        ds = ray.data.read_parquet(
-            path, columns=["vec_id", "embedding"]).repartition(nblocks)
+        t = pq.read_table(path, columns=["vec_id", "embedding"])
+        cuts = [t.num_rows * i // nblocks for i in range(nblocks + 1)]
+        ds = ray.data.from_arrow([t.slice(a, b - a)
+                                  for a, b in zip(cuts, cuts[1:])])
+        assert ds.num_blocks() == nblocks
         cb = pq_train(ds, m=16, k=64, iters=3)
         codes = pq_encode(ds, cb).to_pandas().sort_values(
             "vec_id").reset_index(drop=True)

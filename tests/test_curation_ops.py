@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 import ray.data
 
@@ -15,6 +16,16 @@ from d1_log_aggregation_ray.ops.decontam import contamination_hits
 from d1_log_aggregation_ray.ops.relational import value_quantiles
 from d1_log_aggregation_ray.ops.text import repetition_batch
 from d1_log_aggregation_ray.functions.hashing import md5_lower64
+
+
+def _blocks(t: pa.Table, n: int) -> ray.data.Dataset:
+    """`t` as a Dataset of exactly n row slices (the multi-block input
+    a repartition(n) would give, without Ray's deprecated `free`)."""
+    cuts = [t.num_rows * i // n for i in range(n + 1)]
+    ds = ray.data.from_arrow([t.slice(a, b - a)
+                              for a, b in zip(cuts, cuts[1:])])
+    assert ds.num_blocks() == n
+    return ds
 
 
 def _bench_ids(ids, mod=100, lt=10):
@@ -178,9 +189,9 @@ def test_dup_ngram_stats_vs_python_reference():
     rows.append((100, "pre " + shared))
     rows.append((101, shared + " post"))
     rows.append((102, shared))
-    ds = ray.data.from_arrow(pa.table({
+    ds = _blocks(pa.table({
         "doc_id": [r[0] for r in rows],
-        "text": [r[1] for r in rows]})).repartition(5)
+        "text": [r[1] for r in rows]}), 5)
     out = duplicated_ngram_stats(ds, n=8).to_pandas().set_index("doc_id")
     ref = _dup_ngram_python(rows, n=8)
     assert set(out.index) == set(ref)
@@ -212,9 +223,9 @@ def test_distinctive_terms_vs_python_reference():
     rows = [(d, " ".join(rng.choice(vocab,
                                     size=int(rng.integers(1, 30)))))
             for d in range(120)]
-    ds = ray.data.from_arrow(pa.table({
+    ds = _blocks(pa.table({
         "doc_id": [r[0] for r in rows],
-        "text": [r[1] for r in rows]})).repartition(6)
+        "text": [r[1] for r in rows]}), 6)
     out = distinctive_terms(ds, k=3).to_pandas()
     ref = _distinctive_python(rows, k=3)
     got = {}
@@ -229,7 +240,7 @@ def test_distinctive_terms_vs_python_reference():
 def test_value_quantiles_matches_disc_rule_across_batches():
     rng = np.random.default_rng(3)
     vals = rng.integers(0, 50, size=5000).astype(np.int64)
-    ds = ray.data.from_arrow(pa.table({"v": vals})).repartition(7)
+    ds = _blocks(pa.table({"v": vals}), 7)
     qs = [0.0, 0.25, 0.5, 0.9, 0.99, 1.0]
     out = value_quantiles(ds, "v", qs)
     s = np.sort(vals)
@@ -296,7 +307,7 @@ def test_line_dedup_parity_on_planted_boilerplate():
     t = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
                   "text": pa.array(texts)})
     from d1_log_aggregation_ray.ops.lines import line_dedup
-    ds = ray.data.from_arrow(t).repartition(4)
+    ds = _blocks(t, 4)
     eng = (line_dedup(ds, threshold=2).to_pandas()
            .sort_values("doc_id").reset_index(drop=True))
     con = duckdb.connect()
@@ -347,7 +358,7 @@ def test_token_rarity_parity_with_duckdb():
     t = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
                   "text": pa.array(texts)})
     from d1_log_aggregation_ray.ops.decontam import token_rarity
-    ds = ray.data.from_arrow(t).repartition(3)
+    ds = _blocks(t, 3)
     eng = (token_rarity(ds).to_pandas()
            .sort_values("doc_id").reset_index(drop=True))
     con = duckdb.connect()
@@ -388,7 +399,7 @@ def test_chunk_tokens_parity_with_duckdb():
     t = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
                   "text": pa.array(texts)})
     from d1_log_aggregation_ray.ops.text import chunk_tokens_batch
-    ds = ray.data.from_arrow(t).repartition(3)
+    ds = _blocks(t, 3)
     eng = (ds.map_batches(lambda b: chunk_tokens_batch(b, window=3),
                           batch_format="pyarrow").to_pandas()
            .sort_values(["doc_id", "chunk_idx"]).reset_index(drop=True))
@@ -418,10 +429,10 @@ def test_bloom_decontam_superset_of_exact_and_deterministic():
     partition-count independent."""
     from d1_log_aggregation_ray.ops.decontam import (
         bloom_contamination_hits, contamination_hits)
-    ds1 = ray.data.read_parquet(
-        "/root/testdata/sf0.001/documents.parquet").repartition(3)
-    ds2 = ray.data.read_parquet(
-        "/root/testdata/sf0.001/documents.parquet").repartition(11)
+    ds1 = _blocks(pq.read_table(
+        "/root/testdata/sf0.001/documents.parquet"), 3)
+    ds2 = _blocks(pq.read_table(
+        "/root/testdata/sf0.001/documents.parquet"), 11)
     exact = {r["doc_id"]: r["n_hits"]
              for r in contamination_hits(ds1).take_all()}
     bloom = {r["doc_id"]: r["n_hits"]
@@ -475,7 +486,7 @@ def test_curate_corpus_end_to_end_planted():
     t = pa.table({"doc_id": pa.array(sorted(texts), pa.int64()),
                   "text": pa.array([texts[k] for k in sorted(texts)])})
     from d1_log_aggregation_ray.ops.curate import curate_corpus
-    ds = ray.data.from_arrow(t).repartition(3)
+    ds = _blocks(t, 3)
     eng = (curate_corpus(ds, n=8, bench_mod=100, bench_lt=0, window=16)
            .to_pandas().sort_values(["doc_id", "chunk_idx"])
            .reset_index(drop=True))
@@ -563,9 +574,9 @@ def test_strip_dup_spans_planted():
     assert out[3]["n_removed"] == 8
     # parallelism independence
     out2 = {r["doc_id"]: r for r in strip_dup_spans(
-        ray.data.from_arrow(pa.table({
+        _blocks(pa.table({
             "doc_id": pa.array(rows["doc_id"], pa.int64()),
-            "text": pa.array(rows["text"])})).repartition(4),
+            "text": pa.array(rows["text"])}), 4),
         n=8).take_all()}
     assert all(out[k]["text_clean"] == out2[k]["text_clean"]
                for k in out)
@@ -620,7 +631,7 @@ def test_semantic_decontam_planted_and_reference():
         threshold=0.35).take_all()}
     assert got == want
     got2 = {r["vec_id"]: r["n_hits"] for r in semantic_contamination_hits(
-        ray.data.from_arrow(corpus2).repartition(5),
+        _blocks(corpus2, 5),
         ray.data.from_arrow(bench2), threshold=0.35).take_all()}
     assert got2 == want
 
@@ -671,7 +682,7 @@ def test_source_overlap_planted_counts():
     })
     got = {(r["src_a"], r["src_b"]): r["n_pairs"]
            for r in source_overlap(
-               ray.data.from_arrow(t).repartition(3)).take_all()}
+               _blocks(t, 3)).take_all()}
     assert got == {
         ("s1", "s2"): 4,   # 2 x 2 on pref_a
         ("s1", "s3"): 2,   # 2 x 1

@@ -457,3 +457,84 @@ def test_exchange_two_inputs_fn_exception_keeps_its_type():
     left, right = _sides(30, 30)
     with pytest.raises(Boom, match="bad join partition"):
         exchange([_ds(left), _ds(right)], "k", fn)
+
+
+def _refs(t: pa.Table, n: int) -> list:
+    """`t` as n block refs, then a zero-row typed ref and a zero-row
+    schemaless ref (what a map over no rows leaves)."""
+    step = -(-t.num_rows // n)
+    return ([ray.put(t.slice(i, step)) for i in range(0, t.num_rows, step)]
+            + [ray.put(t.slice(0, 0)), ray.put(pa.table({}))])
+
+
+def test_exchange_ref_list_input_matches_its_dataset(monkeypatch):
+    """A list of block refs is one input: the same rows as a Dataset
+    of the same refs, alone, as both sides of a join, and as a join
+    side whose only blocks have no rows (typed, then schemaless)."""
+    monkeypatch.setattr(parts, "_cpus", lambda: 32)   # P = 64
+    left, right = _sides()
+    lr, rr = _refs(left, 4), _refs(right, 6)
+    as_ds = ray.data.from_arrow_refs
+    got = exchange(lr, "k", _key_counts()).to_pandas()
+    _check(got, exchange(as_ds(lr), "k", _key_counts()).to_pandas())
+    _check(got, _pandas_counts(left))
+    outer = lambda l, r: l.join(r, "k", join_type="full outer")
+    for side in (rr, rr[-2:]):
+        got = exchange([lr, side], "k", outer).to_pandas()
+        _frame_eq(got, exchange([as_ds(lr), as_ds(side)], "k",
+                                outer).to_pandas())
+    want = left.to_pandas().assign(b=np.nan)   # the empty side is typed
+    _frame_eq(got, want)
+
+
+_SCAN_FAIL_SCRIPT = """
+import gc, time
+import ray
+ray.init(address="local", num_cpus=2, include_dashboard=False)
+from d1_log_aggregation_ray.ops import pairs
+from d1_log_aggregation_ray.pipelines.queries import q_tool_transitions
+
+class Boom(ValueError):
+    pass
+
+def scan(batch):
+    raise Boom("bad bucket")
+
+pairs.tool_transitions_scan = scan     # every bucket scan fails
+try:
+    q_tool_transitions(%r)
+except Boom as e:
+    print("caught", type(e).__name__)
+gc.collect()
+time.sleep(2)   # Ray logs an unhandled task error when its ref is freed
+ray.shutdown()
+"""
+
+
+def test_exchange_fed_query_scan_failure_keeps_its_type():
+    """A bucket scan that raises under an exchange reaches the caller
+    as its own exception, and no failed scan or mapper is left for Ray
+    to log as an unhandled error."""
+    from test_oracle_parity import SF_DIR
+    assert "caught Boom" in _run_script(_SCAN_FAIL_SCRIPT % SF_DIR).stdout
+
+
+def test_exchange_fed_queries_build_one_dataset(monkeypatch):
+    """The bucket scans feed the exchange as refs: the exchange's
+    output is the only Dataset each query builds from block refs, and
+    every query still matches its DuckDB oracle."""
+    import duckdb
+    from test_oracle_parity import SF_DIR, _check_query_vs_oracle
+    calls = []
+    real = ray.data.from_arrow_refs
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ray.data, "from_arrow_refs", spy)
+    con = duckdb.connect()
+    for name in ("tool_transitions", "conv_dedup", "rollup_counts"):
+        calls.clear()
+        _check_query_vs_oracle(name, SF_DIR, con)
+        assert len(calls) == 1, (name, len(calls))

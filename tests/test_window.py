@@ -6,8 +6,9 @@ the production boundary semantic: repeat iff prev < t < prev + 31 s
 import numpy as np
 import pyarrow as pa
 
-from d1_log_aggregation_ray.stages.window import repeat_visit_scan, repeat_visit_group
+from d1_log_aggregation_ray.stages.window import repeat_visit_scan
 from d1_log_aggregation_ray.config import PipelineConfig
+from window_reference import repeat_visit_group
 
 US = 1_000_000
 END = 31 * US

@@ -7,8 +7,8 @@ import pyarrow as pa
 from hypothesis import given, settings, strategies as st
 
 from d1_log_aggregation_ray.config import PipelineConfig
-from d1_log_aggregation_ray.stages.window import (bucket_window_scan,
-                                                  repeat_visit_group)
+from d1_log_aggregation_ray.stages.window import bucket_window_scan
+from window_reference import repeat_visit_group
 
 CFG = PipelineConfig(gate_roles=("assistant", "tool"))
 
